@@ -29,21 +29,35 @@ class IndexLabel(NamedTuple):
         return "x%d.%d" % (self.qubit, self.position)
 
 
+POSITION_BITS = 32
+
+
 class IndexOrder:
-    """Total order on labels: by qubit then position; inverse flips the qubit scan."""
+    """Total order on labels: by qubit then position; inverse flips the qubit scan.
+
+    key() encodes a label as one order-preserving integer level,
+    (q << POSITION_BITS) + position with q the qubit, negated under inverse,
+    and label() decodes a level. Positions must lie in [0, 2**POSITION_BITS).
+    """
 
     def __init__(self, inverse=False):
         self.inverse = inverse
         self._keys = {}
 
     def key(self, label):
-        # memoized: key() sits on the contraction hot path
+        # memoized: the diagram layer converts labels to levels at its boundary
         k = self._keys.get(label)
         if k is None:
+            if not 0 <= label.position < 1 << POSITION_BITS:
+                raise ValueError("position of %s outside [0, 2**%d)" % (label, POSITION_BITS))
             q = -label.qubit if self.inverse else label.qubit
-            k = (q, label.position)
+            k = (q << POSITION_BITS) + label.position
             self._keys[label] = k
         return k
+
+    def label(self, key):
+        q = key >> POSITION_BITS
+        return IndexLabel(-q if self.inverse else q, key - (q << POSITION_BITS))
 
     def precedes(self, a, b):
         return self.key(a) < self.key(b)

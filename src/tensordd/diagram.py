@@ -1,9 +1,11 @@
 """Hash-consed, edge-weighted decision diagrams over Boolean indices.
 
-Every node constructed anywhere in the system goes through make_node, which
-applies weight normalization, zero-edge redirection, redundant-node collapse
-and unique-table lookup in one place, so every diagram is reduced and
-canonical at all times.
+Every node constructed anywhere in the system goes through make_level_node
+(make_node for callers holding an index label), which applies weight
+normalization, zero-edge redirection, redundant-node collapse and
+unique-table lookup in one place, so every diagram is reduced and canonical
+at all times. Nodes store the integer level IndexOrder.key gives their index
+label; labels appear only at the label-facing functions.
 """
 
 from __future__ import annotations
@@ -31,9 +33,16 @@ class Edge(NamedTuple):
 
 
 class Node(NamedTuple):
-    index: object
+    """level is the store order's integer key of the node's index label."""
+
+    level: int
     low: Edge
     high: Edge
+
+
+# hot paths build Edge/Node values without NamedTuple's Python-level __new__
+_new = tuple.__new__
+_ZERO_EDGE = Edge(_ZERO, TERMINAL)
 
 
 class StoreError(ValueError):
@@ -41,10 +50,11 @@ class StoreError(ValueError):
 
 
 class DeadlineExceeded(RuntimeError):
-    """Raised by make_node once the store's deadline has passed."""
+    """Raised once a deadline has passed: by make_level_node for the store's,
+    by the planner between steps for a plan's."""
 
 
-# make_node reads the clock when a new node id is a multiple of this
+# make_level_node reads the clock when a new node id is a multiple of this
 DEADLINE_CHECK_IDS = 1 << 14
 
 
@@ -54,7 +64,7 @@ class NodeStore:
     Node id 0 is the single terminal with value 1; nonzero terminal values
     live on the incoming edge weights, so the terminal never needs rewriting.
 
-    deadline, when set, is an absolute time.monotonic() value: make_node
+    deadline, when set, is an absolute time.monotonic() value: make_level_node
     raises DeadlineExceeded once it has passed, reading the clock once every
     DEADLINE_CHECK_IDS new node ids and before it changes anything, so the
     store stays sound for the caller that catches the error.
@@ -79,9 +89,6 @@ class NodeStore:
         if sys.getrecursionlimit() < 30000:
             sys.setrecursionlimit(30000)
 
-    def index_of(self, target):
-        return None if target == TERMINAL else self.nodes[target].index
-
     def terminal_edge(self, w):
         """Edge into the terminal; the value keeps full precision.
 
@@ -92,7 +99,7 @@ class NodeStore:
         """
         w = complex(w)
         if is_zero(w, self.cfg):
-            return Edge(_ZERO, TERMINAL)
+            return _ZERO_EDGE
         return Edge(w, TERMINAL)
 
     def scaled(self, e, c):
@@ -106,19 +113,27 @@ class NodeStore:
         w = e.weight * c
         half = 0.5 * self.cfg.eps
         if -half <= w.real <= half and -half <= w.imag <= half:
-            return Edge(_ZERO, TERMINAL)
-        return Edge(w, e.target)
+            return _ZERO_EDGE
+        return _new(Edge, (w, e.target))
 
-    def node_key(self, x, e0, e1):
+    def node_key(self, level, e0, e1):
         """Unique-table key: child weights as integer grid cells, targets exact."""
         eps = self.cfg.eps
         w0 = e0.weight
         w1 = e1.weight
-        return (x, round(w0.real / eps), round(w0.imag / eps), e0.target,
+        return (level, round(w0.real / eps), round(w0.imag / eps), e0.target,
                 round(w1.real / eps), round(w1.imag / eps), e1.target)
 
     def make_node(self, x, low, high):
-        """Canonicalizing node constructor.
+        """make_level_node for the index label x."""
+        return self.make_level_node(self.order.key(x), low, high)
+
+    def _order_error(self, level, child):
+        return StoreError("index %s does not precede child index %s"
+                          % (self.order.label(level), self.order.label(self.nodes[child].level)))
+
+    def make_level_node(self, level, low, high):
+        """Canonicalizing node constructor over the integer level of an index.
 
         Returns an edge (w, n) with w * value(n) = xbar*w0*value(low) +
         x*w1*value(high), value(n) normal, and n unique in the store. The
@@ -138,12 +153,12 @@ class NodeStore:
             w1 = _ZERO
         t0 = TERMINAL if w0 == 0 else low.target
         t1 = TERMINAL if w1 == 0 else high.target
-        if t0 != TERMINAL and not self.order.precedes(x, self.nodes[t0].index):
-            raise StoreError("index %s does not precede child index %s" % (x, self.nodes[t0].index))
-        if t1 != TERMINAL and not self.order.precedes(x, self.nodes[t1].index):
-            raise StoreError("index %s does not precede child index %s" % (x, self.nodes[t1].index))
+        if t0 != TERMINAL and level >= self.nodes[t0].level:
+            raise self._order_error(level, t0)
+        if t1 != TERMINAL and level >= self.nodes[t1].level:
+            raise self._order_error(level, t1)
         if w0 == 0 and w1 == 0:
-            return Edge(_ZERO, TERMINAL)
+            return _ZERO_EDGE
         # divide through by the dominant cofactor weight; near-ties keep the
         # 0-side, with a relative margin so the quotient stays within 1+2eps
         if w0 != 0 and (w1 == 0 or abs(w0) >= abs(w1) * (1.0 - eps)):
@@ -154,11 +169,11 @@ class NodeStore:
             n0, t0 = _ZERO, TERMINAL
         if -half <= n1.real <= half and -half <= n1.imag <= half:
             n1, t1 = _ZERO, TERMINAL
-        e0 = Edge(n0, t0)
-        e1 = Edge(n1, t1)
+        e0 = _new(Edge, (n0, t0))
+        e1 = _new(Edge, (n1, t1))
         if t0 == t1 and weights_equal(n0, n1, self.cfg):
-            return Edge(w, t0)
-        key = self.node_key(x, e0, e1)
+            return _new(Edge, (w, t0))
+        key = self.node_key(level, e0, e1)
         nid = self.unique.get(key)
         if nid is None:
             nid = self._next
@@ -166,13 +181,13 @@ class NodeStore:
                     and time.monotonic() > self.deadline):
                 raise DeadlineExceeded("store deadline passed at node id %d" % nid)
             self._next += 1
-            self.nodes[nid] = Node(x, e0, e1)
+            self.nodes[nid] = _new(Node, (level, e0, e1))
             self.unique[key] = nid
             if len(self.nodes) > self.peak_nodes:
                 self.peak_nodes = len(self.nodes)
         else:
             self.unique_hits += 1
-        return Edge(w, nid)
+        return _new(Edge, (w, nid))
 
     def collect(self, roots, keep_below=1):
         """Drop every node unreachable from the given edge targets.
@@ -254,37 +269,25 @@ def _gen(store, phi):
     return store.make_node(x, lo, hi)
 
 
-def _cofactors(store, e, x):
-    """Sub-edges of e at x; x never exceeds the root index of e."""
-    if e.target == TERMINAL:
-        return e, e
-    node = store.nodes[e.target]
-    if node.index != x:
-        return e, e
-    return store.scaled(node.low, e.weight), store.scaled(node.high, e.weight)
-
-
 def _cofactors1(store, t, x):
-    """Cofactors of a weight-1 edge into t; reuses the stored child edges."""
+    """Cofactors at level x of a weight-1 edge into t; reuses the stored child edges."""
     if t != TERMINAL:
         node = store.nodes[t]
-        if node.index == x:
+        if node.level == x:
             return node.low, node.high
-    e = Edge(_ONE, t)
+    e = _new(Edge, (_ONE, t))
     return e, e
 
 
-def _top_index(store, ta, tb):
-    """First index of the two roots; at most one of ta, tb is terminal."""
+def _top_level(store, ta, tb):
+    """First level of the two roots; at most one of ta, tb is terminal."""
     if ta == TERMINAL:
-        return store.nodes[tb].index
-    xa = store.nodes[ta].index
+        return store.nodes[tb].level
+    xa = store.nodes[ta].level
     if tb == TERMINAL:
         return xa
-    xb = store.nodes[tb].index
-    if xa == xb or store.order.key(xa) <= store.order.key(xb):
-        return xa
-    return xb
+    xb = store.nodes[tb].level
+    return xa if xa <= xb else xb
 
 
 def _add(store, ea, eb):
@@ -294,7 +297,7 @@ def _add(store, ea, eb):
         return ea
     if ea.target == eb.target:
         w = ea.weight + eb.weight
-        return Edge(_ZERO, TERMINAL) if is_zero(w, store.cfg) else Edge(w, ea.target)
+        return _ZERO_EDGE if is_zero(w, store.cfg) else _new(Edge, (w, ea.target))
     if eb.target < ea.target:
         ea, eb = eb, ea
     ta, tb = ea.target, eb.target
@@ -308,15 +311,15 @@ def _add(store, ea, eb):
     if hit is not None:
         store.cache_hits_add += 1
         return store.scaled(hit, ea.weight)
-    x = _top_index(store, ta, tb)
+    x = _top_level(store, ta, tb)
     a0, a1 = _cofactors1(store, ta, x)
     nb = store.nodes[tb] if tb != TERMINAL else None
-    if nb is not None and nb.index == x:
+    if nb is not None and nb.level == x:
         b0 = store.scaled(nb.low, ratio)
         b1 = store.scaled(nb.high, ratio)
     else:
-        b0 = b1 = Edge(ratio, tb)
-    res = store.make_node(x, _add(store, a0, b0), _add(store, a1, b1))
+        b0 = b1 = _new(Edge, (ratio, tb))
+    res = store.make_level_node(x, _add(store, a0, b0), _add(store, a1, b1))
     store.add_cache[key] = res
     if len(store.add_cache) > store.cache_limit:
         store.add_cache.clear()
@@ -333,24 +336,22 @@ def add(F, G):
 
 
 def _cont(store, ef, eg, var):
-    """var: order-sorted tuple of labels not yet summed on this branch."""
+    """var: sorted tuple of the levels not yet summed on this branch."""
     wf = ef.weight
     if wf == 0:
-        return Edge(_ZERO, TERMINAL)
+        return _ZERO_EDGE
     wg = eg.weight
     if wg == 0:
-        return Edge(_ZERO, TERMINAL)
+        return _ZERO_EDGE
     tf, tg = ef.target, eg.target
     if tf == TERMINAL and tg == TERMINAL:
         w = wf * wg * (1 << len(var))
-        return Edge(_ZERO, TERMINAL) if is_zero(w, store.cfg) else Edge(w, TERMINAL)
-    x = _top_index(store, tf, tg)
-    okey = store.order.key
-    # var labels preceding both roots can never be split below: each is a
+        return _ZERO_EDGE if is_zero(w, store.cfg) else _new(Edge, (w, TERMINAL))
+    x = _top_level(store, tf, tg)
+    # var levels preceding both roots can never be split below: each is a
     # constant dimension contributing a factor 2, so they peel off here
     k = 0
-    xk = okey(x)
-    while k < len(var) and okey(var[k]) < xk:
+    while k < len(var) and var[k] < x:
         k += 1
     varkey = var[k:]
     scale = wf * wg * (1 << k)
@@ -368,7 +369,7 @@ def _cont(store, ef, eg, var):
     if summing:
         res = _add(store, lo, hi)
     else:
-        res = store.make_node(x, lo, hi)
+        res = store.make_level_node(x, lo, hi)
     store.cont_cache[key] = res
     # memoization only: dropping entries costs recomputation, never accuracy
     if len(store.cont_cache) > store.cache_limit:
@@ -381,7 +382,7 @@ def contract(F, G, var):
     _check_pair(F, G)
     store = F.store
     var = set(var)
-    root = _cont(store, F.root, G.root, tuple(store.order.sort(var)))
+    root = _cont(store, F.root, G.root, tuple(sorted(map(store.order.key, var))))
     mult = {}
     for src in (F.multiplicity, G.multiplicity):
         for lab, m in src.items():
@@ -420,8 +421,8 @@ def tensor_product(F, G):
         e = memo.get(t)
         if e is None:
             n = store.nodes[t]
-            e = store.make_node(
-                n.index,
+            e = store.make_level_node(
+                n.level,
                 store.scaled(rebuild(n.low.target), n.low.weight),
                 store.scaled(rebuild(n.high.target), n.high.weight),
             )
@@ -439,12 +440,14 @@ def slice_tdd(F, x, c):
         root = F.root
     else:
         node = store.nodes[F.root.target]
-        if node.index == x:
+        level = store.order.key(x)
+        if node.level == level:
             root = store.scaled(node.high if c else node.low, F.root.weight)
-        elif store.order.precedes(x, node.index):
+        elif level < node.level:
             root = F.root
         else:
-            raise StoreError("cannot slice %s below the root index %s" % (x, node.index))
+            raise StoreError("cannot slice %s below the root index %s"
+                             % (x, store.order.label(node.level)))
     mult = {l: m for l, m in F.multiplicity.items() if l != x}
     return Tdd(store, root, mult)
 
@@ -460,9 +463,10 @@ def evaluate(F, assignment):
     t = F.root.target
     while t != TERMINAL and w != 0:
         node = store.nodes[t]
-        if node.index not in assignment:
-            raise KeyError("assignment missing %s" % (node.index,))
-        e = node.high if assignment[node.index] else node.low
+        x = store.order.label(node.level)
+        if x not in assignment:
+            raise KeyError("assignment missing %s" % (x,))
+        e = node.high if assignment[x] else node.low
         w = w * e.weight
         t = e.target
     return canonical(w, store.cfg)
@@ -526,7 +530,7 @@ def export_dot(F):
     lines = ["digraph tdd {"]
     lines.append('  start [shape=none, label=""];')
     for t in dfs_order:
-        lines.append('  %s [label="%s"];' % (names[t], store.nodes[t].index))
+        lines.append('  %s [label="%s"];' % (names[t], store.order.label(store.nodes[t].level)))
     lines.append('  t1 [shape=box, label="1"];')
     lines.append('  start -> %s [label="%s"];'
                  % (names.get(F.root.target, "t1"), fmt(F.root.weight)))
@@ -542,10 +546,12 @@ def export_dot(F):
 def relabel(F, mapping):
     """Rebuild F with indices renamed; mapping must be monotone for the order."""
     store = F.store
-    old = store.order.sort(set(F.multiplicity) | {n.index for n in
-                                                  (store.nodes[t] for t in reachable(store, [F.root.target]))})
-    mapped = [mapping.get(l, l) for l in old]
-    if mapped != store.order.sort(set(mapped)) or len(set(mapped)) != len(mapped):
+    okey = store.order.key
+    levels = {okey(a): okey(b) for a, b in mapping.items()}
+    old = sorted(set(map(okey, F.multiplicity))
+                 | {store.nodes[t].level for t in reachable(store, [F.root.target])})
+    mapped = [levels.get(k, k) for k in old]
+    if mapped != sorted(set(mapped)):
         raise StoreError("relabel mapping is not monotone")
     memo = {TERMINAL: Edge(_ONE, TERMINAL)}
 
@@ -553,8 +559,8 @@ def relabel(F, mapping):
         e = memo.get(t)
         if e is None:
             n = store.nodes[t]
-            e = store.make_node(
-                mapping.get(n.index, n.index),
+            e = store.make_level_node(
+                levels.get(n.level, n.level),
                 store.scaled(rb(n.low.target), n.low.weight),
                 store.scaled(rb(n.high.target), n.high.weight),
             )
@@ -587,9 +593,9 @@ def audit(store):
                 child = store.nodes.get(e.target)
                 if child is None:
                     problems.append("node %d: dangling child" % nid)
-                elif not store.order.precedes(node.index, child.index):
+                elif node.level >= child.level:
                     problems.append("node %d: index order violated" % nid)
-        if store.unique.get(store.node_key(node.index, node.low, node.high)) != nid:
+        if store.unique.get(store.node_key(node.level, node.low, node.high)) != nid:
             problems.append("node %d: unique table mismatch" % nid)
     if len(store.unique) != len(store.nodes):
         problems.append("unique table size %d != node count %d" % (len(store.unique), len(store.nodes)))

@@ -229,8 +229,10 @@ def plan_from_parts(net, parts, config=None):
 
     steps = []
 
-    def open_set(counts, total, boundary):
-        return {l for l, c in counts.items() if c < total[l] or l in boundary}
+    # every (plan entry, exec counts, plain counts) triple keeps open labels
+    # only: a label whose holders have all joined can be in no later step
+    def open_counts(counts, total, boundary):
+        return Counter({l: c for l, c in counts.items() if c < total[l] or l in boundary})
 
     def merge(left, right, tag):
         ln, lc, lp = left
@@ -238,11 +240,10 @@ def plan_from_parts(net, parts, config=None):
         var = sorted((l for l in lc.keys() & rc.keys()
                       if lc[l] + rc[l] == exec_total[l] and l not in exec_boundary),
                      key=net.order.key)
-        lo = open_set(lp, plain_total, plain_boundary)
-        ro = open_set(rp, plain_total, plain_boundary)
-        node = PlanNode(ln, rn, tuple(var), (len(lo), len(ro), len(lo & ro)), tag)
+        node = PlanNode(ln, rn, tuple(var), (len(lp), len(rp), len(lp.keys() & rp.keys())), tag)
         steps.append(node)
-        return node, lc + rc, lp + rp
+        return (node, open_counts(lc + rc, exec_total, exec_boundary),
+                open_counts(lp + rp, plain_total, plain_boundary))
 
     def fold(entries, tag):
         acc = None
@@ -255,7 +256,9 @@ def plan_from_parts(net, parts, config=None):
         if not leaves:
             continue
         tag = "%s%d" % (part.region, part.segment)
-        acc = fold([(lf, Counter(lf.exec_mult), Counter(lf.plain)) for lf in leaves], tag)
+        acc = fold([(lf, open_counts(lf.exec_mult, exec_total, exec_boundary),
+                     open_counts(Counter(lf.plain), plain_total, plain_boundary))
+                    for lf in leaves], tag)
         by_segment.setdefault(part.segment, []).append(acc)
     seg_accs = [fold(by_segment[s], "S%d" % s) for s in sorted(by_segment)]
     total = fold(seg_accs, "join")
@@ -264,7 +267,7 @@ def plan_from_parts(net, parts, config=None):
         root, open_exec = None, ()
     else:
         root, counts, _ = total
-        open_exec = tuple(net.order.sort(open_set(counts, exec_total, exec_boundary)))
+        open_exec = tuple(net.order.sort(counts))
     summed = Counter(l for node in steps for l in node.var)
     expected = set(exec_total) - exec_boundary
     if set(summed) != expected or any(c != 1 for c in summed.values()):
@@ -296,54 +299,83 @@ def plan_to_json(plan):
 def execute_plan(plan, store, deadline=None):
     """Run the plan bottom-up in the given store; returns (Tdd, stats).
 
+    stats["peak_nodes"] is the largest number of distinct nodes reachable
+    from the plan's live values (leaves made and step results not yet
+    consumed), taken before and after every step and never below
+    stats["final_nodes"]; each step's "nodes" is the size of its result.
+    store.stats()["peak_nodes"] is another figure: the most nodes the store
+    has held, garbage included.
+
     deadline is an absolute time.monotonic() value. It is checked between
     steps and, through the store, inside a step as new nodes are made;
-    exceeding it raises PlanTimeout. After a timeout the store is sound and
-    still holds the nodes the aborted step made. The store's deadline is
-    cleared again when this function returns or raises.
+    exceeding it raises PlanTimeout. Before it is raised, every node this
+    plan made is swept from the store (none of its values has reached the
+    caller), so the store is sound and holds what it held before the call.
+    The store's deadline is cleared again when this function returns or
+    raises.
     """
+    base = store._next
     store.deadline = deadline
     try:
-        return _execute(plan, store, deadline)
+        return _execute(plan, store, deadline, base)
     except DeadlineExceeded as exc:
+        store.collect([], keep_below=base)
         raise PlanTimeout("plan execution exceeded its deadline") from exc
     finally:
         store.deadline = None
 
 
-def _execute(plan, store, deadline):
+def _execute(plan, store, deadline, base):
     t0 = time.perf_counter()
-    values = {}
+    # the exact live peak is kept incrementally, at the cost of walking each
+    # value once: live maps id(plan entry) to (value, the node ids it
+    # reaches), and refs counts the live values reaching each node id
+    live = {}
+    refs = {}
     peak = 0
-    base = store._next
+
+    def put(key, value):
+        """Make value live; returns its node count."""
+        ids = set() if value is None else reachable(store, [value.root.target])
+        live[key] = (value, ids)
+        for t in ids:
+            refs[t] = refs.get(t, 0) + 1
+        return len(ids)
+
+    def take(key):
+        value, ids = live.pop(key)
+        for t in ids:
+            c = refs[t] - 1
+            if c:
+                refs[t] = c
+            else:
+                del refs[t]
+        return value
 
     def leaf_value(leaf):
         if leaf.dense is None:
             return None
         return generate(store, leaf.dense, dict(leaf.exec_mult))
 
-    def sample():
-        nonlocal peak
-        roots = [v.root.target for v in values.values() if v is not None]
-        if roots:
-            peak = max(peak, len(reachable(store, roots)))
-
     step_log = []
     if plan.root is None:
-        result = Tdd(store, store.terminal_edge(1.0), {})
+        result = None
     elif isinstance(plan.root, PlanLeaf):
         result = leaf_value(plan.root)
         peak = size(result)
     else:
         for node in plan.steps:
             if deadline is not None and time.monotonic() > deadline:
-                raise PlanTimeout("plan execution exceeded its deadline")
+                raise DeadlineExceeded("plan deadline passed before step %s" % node.tag)
             for side in (node.left, node.right):
                 if isinstance(side, PlanLeaf):
-                    values[id(side)] = leaf_value(side)
-            sample()
-            lv = values.pop(id(node.left))
-            rv = values.pop(id(node.right))
+                    put(id(side), leaf_value(side))
+            # sampled before each step only: the live set after a step is
+            # contained in the one before the next (only leaves join in
+            # between) or is the final result
+            peak = max(peak, len(refs))
+            lv = take(id(node.left))
+            rv = take(id(node.right))
             if lv is None:
                 res = rv
             elif rv is None:
@@ -352,18 +384,16 @@ def _execute(plan, store, deadline):
                 res = contract(lv, rv, node.var)
             else:
                 res = tensor_product(lv, rv)
-            values[id(node)] = res
-            sample()
             step_log.append({"tag": node.tag, "m": node.mnr[0], "n": node.mnr[1],
                              "r": node.mnr[2], "var": len(node.var),
-                             "nodes": 0 if res is None else size(res)})
+                             "nodes": put(id(node), res)})
             # the store only grows during contraction; sweep dead nodes
             # between steps so long runs stay within memory (anything that
             # existed before this plan started is left alone)
             if len(store.nodes) > store.gc_limit:
-                store.collect([v.root.target for v in values.values() if v is not None],
+                store.collect([v.root.target for v, _ in live.values() if v is not None],
                               keep_below=base)
-        result = values.pop(id(plan.root))
+        result = take(id(plan.root))
     if result is None:
         result = Tdd(store, store.terminal_edge(1.0), {})
     final = size(result)

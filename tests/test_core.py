@@ -94,7 +94,8 @@ def test_make_node_interns_sub_grid_variants():
 def test_make_node_rejects_order_violation():
     store = NodeStore()
     child = store.make_node(L[1], store.terminal_edge(1), store.terminal_edge(-1))
-    with pytest.raises(StoreError):
+    # the message names labels, not the integer levels nodes store
+    with pytest.raises(StoreError, match=r"^index x2 does not precede child index x1$"):
         store.make_node(L[2], child, store.terminal_edge(1))
 
 

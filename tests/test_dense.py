@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from tensordd.cli import SPLIT_POS
 from tensordd.dense import (
     DenseTensor,
     IndexLabel,
@@ -36,6 +37,19 @@ def test_order_natural_and_inverse():
     assert IndexOrder().sort(labs) == [IndexLabel(0, 0), IndexLabel(0, 1), IndexLabel(1, 0)]
     assert IndexOrder(inverse=True).sort(labs) == [IndexLabel(1, 0), IndexLabel(0, 0), IndexLabel(0, 1)]
     assert IndexOrder().precedes(A, B)
+    # key() is one integer that sorts like (qubit, position), qubit scan
+    # reversed under inverse, up to the comparison grid's output position
+    labs = [IndexLabel(q, p) for q in range(4) for p in (0, 1, 7, SPLIT_POS, 2 ** 32 - 1)]
+    for inverse in (False, True):
+        order = IndexOrder(inverse)
+        sign = -1 if inverse else 1
+        keys = [order.key(l) for l in labs]
+        assert all(isinstance(k, int) for k in keys)
+        assert sorted(labs, key=order.key) == sorted(labs, key=lambda l: (sign * l.qubit, l.position))
+        assert [order.label(k) for k in keys] == labs
+        for bad in (IndexLabel(1, -1), IndexLabel(1, 2 ** 32)):
+            with pytest.raises(ValueError):
+                order.key(bad)
 
 
 def test_tensor_validation():

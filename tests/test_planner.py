@@ -246,3 +246,160 @@ def test_gc_protects_results_already_in_the_store():
     assert store.gc_runs > 0
     assert np.array_equal(to_dense(first).values, dense_before)
     assert not audit(store)
+
+
+def test_timeout_sweeps_what_the_plan_made(monkeypatch):
+    circ = random_circuit(random.Random(0), 7, 40)
+    net = allocate_indices(circ)
+    plan = plan_circuit(net, PartitionConfig("p1"))
+    earlier = plan_circuit(allocate_indices(random_circuit(random.Random(100), 7, 12)),
+                           PartitionConfig("seq"))
+
+    def store_with_earlier_result():
+        store = NodeStore(net.order, gc_limit=200)
+        execute_plan(earlier, store)
+        return store
+
+    for check in ("store", "planner"):
+        store = store_with_earlier_result()
+        before = len(store.nodes)
+        # the clock passes the deadline when a late contraction step starts:
+        # inside that step through the store, or at the next between-step
+        # check through the planner
+        now = [-math.inf]
+        armed = sum(1 for node in plan.steps if node.var) * 3 // 4
+        calls = []
+        real_contract = planner.contract
+
+        def contract(F, G, var):
+            calls.append(var)
+            if len(calls) == armed:
+                now[0] = math.inf
+            return real_contract(F, G, var)
+
+        clock = SimpleNamespace(monotonic=lambda: now[0])
+        monkeypatch.setattr(planner, "contract", contract)
+        if check == "store":
+            monkeypatch.setattr(diagram, "time", clock)
+            monkeypatch.setattr(diagram, "DEADLINE_CHECK_IDS", 1)
+        else:
+            monkeypatch.setattr(planner, "time", SimpleNamespace(
+                monotonic=clock.monotonic, perf_counter=time.perf_counter))
+        with pytest.raises(PlanTimeout):
+            execute_plan(plan, store, deadline=time.monotonic() + 3600.0)
+        monkeypatch.undo()
+        assert len(calls) == armed
+        assert len(store.nodes) == before
+        assert not audit(store)
+
+        # a rerun leaves the store as it leaves one that never timed out
+        execute_plan(plan, store)
+        fresh = store_with_earlier_result()
+        execute_plan(plan, fresh)
+        assert len(store.nodes) == len(fresh.nodes)
+        assert not audit(store)
+
+
+def brute_reachable(store, roots):
+    seen = set()
+    stack = [t for t in roots if t != diagram.TERMINAL]
+    while stack:
+        t = stack.pop()
+        if t not in seen:
+            seen.add(t)
+            node = store.nodes[t]
+            stack.extend(e.target for e in (node.low, node.high) if e.target != diagram.TERMINAL)
+    return seen
+
+
+def run_recording_live_sets(monkeypatch, plan, store):
+    """Execute plan; returns (result, stats, expected peak, expected step
+    nodes), the expectations counted by brute force while the plan runs."""
+    live = []      # values made and not yet consumed, by identity
+    samples = [0]  # live union sizes before and after every kernel step
+    sizes = {}     # id(plan entry) -> node count of its value
+    kernel = []    # node counts of the kernel results, in call order
+    leaf_of = {}
+
+    def entries(e):
+        if isinstance(e, planner.PlanLeaf):
+            if e.dense is not None:
+                leaf_of[id(e.dense)] = e
+        else:
+            entries(e.left)
+            entries(e.right)
+
+    if plan.root is not None:
+        entries(plan.root)
+
+    def union():
+        samples.append(len(brute_reachable(store, [v.root.target for v in live])))
+
+    def generate(s, dense, mult=None):
+        value = real_generate(s, dense, mult)
+        live.append(value)
+        sizes[id(leaf_of[id(dense)])] = len(brute_reachable(store, [value.root.target]))
+        return value
+
+    def step(fn):
+        def run(F, G, *args):
+            union()
+            live[:] = [v for v in live if v is not F and v is not G]
+            res = fn(F, G, *args)
+            live.append(res)
+            kernel.append(len(brute_reachable(store, [res.root.target])))
+            union()
+            return res
+        return run
+
+    real_generate = planner.generate
+    monkeypatch.setattr(planner, "generate", generate)
+    monkeypatch.setattr(planner, "contract", step(planner.contract))
+    monkeypatch.setattr(planner, "tensor_product", step(planner.tensor_product))
+    result, stats = execute_plan(plan, store)
+    monkeypatch.undo()
+
+    def is_none(e):
+        if isinstance(e, planner.PlanLeaf):
+            return e.dense is None
+        return is_none(e.left) and is_none(e.right)
+
+    calls = iter(kernel)
+    for node in plan.steps:
+        if not (is_none(node.left) or is_none(node.right)):
+            sizes[id(node)] = next(calls)
+        else:
+            side = node.right if is_none(node.left) else node.left
+            sizes[id(node)] = sizes.get(id(side), 0)
+    final = len(brute_reachable(store, [result.root.target]))
+    return (result, stats, max(max(samples), final),
+            [sizes[id(node)] for node in plan.steps])
+
+
+@pytest.mark.parametrize("scheme", ["seq", "p1", "p2"])
+def test_live_peak_is_exact(monkeypatch, scheme):
+    rng = random.Random(53)
+    cases = [(random_circuit(rng, rng.randint(4, 6), rng.randint(5, 30)), 1_000_000)
+             for _ in range(4)]
+    cases.append((random_circuit(random.Random(41), 6, 60), 200))
+    for circ, gc_limit in cases:
+        net = allocate_indices(circ)
+        plan = plan_circuit(net, PartitionConfig(scheme))
+        store = NodeStore(net.order, gc_limit=gc_limit)
+        result, stats, peak, nodes = run_recording_live_sets(monkeypatch, plan, store)
+        assert stats["peak_nodes"] == peak
+        assert [s["nodes"] for s in stats["steps"]] == nodes
+        assert stats["final_nodes"] == len(brute_reachable(store, [result.root.target]))
+        if gc_limit == 200:
+            assert store.gc_runs > 0
+
+
+@pytest.mark.parametrize("text", ["qreg q[3];", "qreg q[3];\nh q[1];", "qreg q[2];\ncx q[0],q[1];"])
+def test_live_peak_of_trivial_plans(monkeypatch, text):
+    net = allocate_indices(parse_qasm("OPENQASM 2.0;\n" + text))
+    plan = plan_circuit(net, PartitionConfig("seq"))
+    assert plan.root is None or isinstance(plan.root, planner.PlanLeaf)
+    store = NodeStore(net.order)
+    result, stats, peak, nodes = run_recording_live_sets(monkeypatch, plan, store)
+    assert stats["steps"] == [] and nodes == []
+    assert stats["peak_nodes"] == stats["final_nodes"] == peak
