@@ -2,9 +2,11 @@
 
 from __future__ import annotations
 
+import ast
 import cmath
 import itertools
 import math
+import operator
 import re
 import warnings
 from dataclasses import dataclass
@@ -42,19 +44,41 @@ class QasmError(ValueError):
 
 
 _PARAM_CHARS = re.compile(r"^[0-9eE.+\-*/() pi]*$")
-_QREG_RE = re.compile(r"^qreg\s+([A-Za-z_]\w*)\s*\[\s*(\d+)\s*\]$")
+_QREG_RE = re.compile(r"^qreg\s+([A-Za-z_]\w*)\s*\[\s*(\d{1,9})\s*\]$")
 _GATE_RE = re.compile(r"^([A-Za-z_]\w*)\s*(?:\(([^()]*(?:\([^()]*\)[^()]*)*)\))?\s*(.*)$")
-_ARG_RE = re.compile(r"^([A-Za-z_]\w*)\s*\[\s*(\d+)\s*\]$")
+_ARG_RE = re.compile(r"^([A-Za-z_]\w*)\s*\[\s*(\d{1,9})\s*\]$")
+
+_UNARY = {ast.UAdd: operator.pos, ast.USub: operator.neg}
+_BINARY = {ast.Add: operator.add, ast.Sub: operator.sub,
+           ast.Mult: operator.mul, ast.Div: operator.truediv}
+
+
+def _eval_ast(node):
+    """Value of a parameter expression: numbers, pi, unary +/-, + - * /."""
+    if isinstance(node, ast.Constant) and type(node.value) in (int, float):
+        return float(node.value)
+    if isinstance(node, ast.Name) and node.id == "pi":
+        return math.pi
+    if isinstance(node, ast.UnaryOp) and type(node.op) in _UNARY:
+        return _UNARY[type(node.op)](_eval_ast(node.operand))
+    if isinstance(node, ast.BinOp) and type(node.op) in _BINARY:
+        return _BINARY[type(node.op)](_eval_ast(node.left), _eval_ast(node.right))
+    raise ValueError("unsupported expression")
 
 
 def _eval_param(text, line):
+    """A gate parameter's value; QasmError unless it is a finite number."""
     expr = text.strip()
-    if not expr or not _PARAM_CHARS.match(expr):
-        raise QasmError("line %d: bad parameter %r" % (line, text))
-    try:
-        return float(eval(expr, {"__builtins__": {}}, {"pi": math.pi}))
-    except Exception:
-        raise QasmError("line %d: bad parameter %r" % (line, text)) from None
+    if _PARAM_CHARS.match(expr):
+        try:
+            value = _eval_ast(ast.parse(expr, mode="eval").body)
+            if math.isfinite(value):
+                return value
+        # the parser reports nesting too deep for it as MemoryError or
+        # RecursionError
+        except (SyntaxError, ValueError, ArithmeticError, RecursionError, MemoryError):
+            pass
+    raise QasmError("line %d: bad parameter %r" % (line, text))
 
 
 def _statements(text):
@@ -323,6 +347,28 @@ def cut_cnot(gate, control_labels, target_labels, bond):
         if a ^ b ^ c == 0:
             xor_vals[a, b, c] = 1
     return DenseTensor(copy_idx, copy_vals), DenseTensor(xor_idx, xor_vals), bond
+
+
+_SELF_INVERSE = {"x", "y", "z", "h", "cx", "cz", "swap", "ccx"}
+_DAGGER = {"s": "sdg", "sdg": "s", "t": "tdg", "tdg": "t"}
+
+
+def inverse_gate(gate):
+    """The gate whose matrix is the inverse of gate's, on the same qubits."""
+    kind, params = gate.kind, gate.params
+    if kind in _SELF_INVERSE:
+        return gate
+    if kind in _DAGGER:
+        return Gate(_DAGGER[kind], gate.qubits)
+    if kind in ("rx", "ry", "rz", "u1"):
+        return Gate(kind, gate.qubits, (-params[0],))
+    if kind == "u2":
+        phi, lam = params
+        return Gate("u3", gate.qubits, (-math.pi / 2, -lam, -phi))
+    if kind == "u3":
+        theta, phi, lam = params
+        return Gate("u3", gate.qubits, (-theta, -lam, -phi))
+    raise ValueError("unknown gate kind %r" % (kind,))
 
 
 def circuit_unitary(circ):

@@ -10,12 +10,13 @@ from pathlib import Path
 
 import numpy as np
 
-from .circuit import QasmError, allocate_indices, parse_qasm_file
+from .circuit import Circuit, QasmError, allocate_indices, inverse_gate, parse_qasm_file
 from .dense import DenseTensor, IndexLabel, IndexOrder, network_to_dense
 from .diagram import (NodeStore, contract, evaluate, export_dot, generate,
-                      relabel, to_dense)
-from .numerics import ToleranceConfig, format_weight, weights_equal
-from .planner import PartitionConfig, PlanError, PlanTimeout, execute_plan, plan_circuit
+                      relabel, tensor_product, to_dense)
+from .numerics import ToleranceConfig, format_weight, is_one
+from .planner import (PartitionConfig, PlanError, PlanTimeout, execute_plan,
+                      partition_miter, plan_circuit, plan_from_parts)
 
 # comparison-grid position for output labels; far above any real wire segment
 SPLIT_POS = 1_000_000
@@ -33,7 +34,10 @@ def _order(args):
 
 
 def _tolerance(args):
-    return ToleranceConfig(eps=args.eps, norm_eps=args.norm_eps)
+    try:
+        return ToleranceConfig(eps=args.eps, norm_eps=args.norm_eps)
+    except ValueError as exc:
+        raise CliError("--eps/--norm-eps: %s" % exc) from None
 
 
 def _partition_config(args, scheme=None):
@@ -170,27 +174,40 @@ def boundary_normalized(tdd, net):
     return out
 
 
+def _identity(store, n_qubits):
+    """The n-qubit identity on the comparison grid of boundary_normalized."""
+    out = None
+    for q in range(n_qubits):
+        delta = generate(store, DenseTensor.from_flat(
+            (IndexLabel(q, 0), IndexLabel(q, SPLIT_POS)), [1, 0, 0, 1]))
+        out = delta if out is None else tensor_product(out, delta)
+    return out
+
+
 def equivalent(path_a, path_b, args, up_to_phase=False):
+    """Whether circuits A and B have the same functionality (up to a global
+    phase if asked). Builds the miter B^-1 * A, contracting from the A/B
+    junction outward (Burgholzer & Wille, "Advanced equivalence checking for
+    quantum circuits", IEEE TCAD 2021), and compares it with the identity;
+    neither circuit's own functionality is built."""
     circ_a = parse_qasm_file(path_a)
     circ_b = parse_qasm_file(path_b)
-    if circ_a.n_qubits != circ_b.n_qubits:
-        raise CliError("qubit counts differ: %d vs %d"
-                       % (circ_a.n_qubits, circ_b.n_qubits))
+    n = circ_a.n_qubits
+    if n != circ_b.n_qubits:
+        raise CliError("qubit counts differ: %d vs %d" % (n, circ_b.n_qubits))
     order = _order(args)
     tol = _tolerance(args)
+    miter = Circuit(n, circ_a.gates + tuple(inverse_gate(g) for g in reversed(circ_b.gates)))
+    net = allocate_indices(miter, order)
+    plan = plan_from_parts(net, partition_miter(len(circ_a.gates), len(circ_b.gates)))
     store = NodeStore(order, tol)
-    roots = []
-    for circ in (circ_a, circ_b):
-        net = allocate_indices(circ, order)
-        cfg = _partition_config(args).resolve(circ.n_qubits)
-        tdd, _ = execute_plan(plan_circuit(net, cfg), store)
-        roots.append(boundary_normalized(tdd, net).root)
-    ra, rb = roots
-    if ra.target != rb.target:
+    tdd, _ = execute_plan(plan, store)
+    root = boundary_normalized(tdd, net).root
+    if root.target != _identity(store, n).root.target:
         return False
     if up_to_phase:
-        return abs(abs(ra.weight) - abs(rb.weight)) <= tol.eps
-    return weights_equal(ra.weight, rb.weight, tol)
+        return abs(abs(root.weight) - 1) <= tol.eps
+    return is_one(root.weight, tol)
 
 
 def cmd_equiv(args):
@@ -239,19 +256,22 @@ def cmd_bench(args):
     return 0
 
 
-def _add_common(sp, scheme=True):
+def _add_common(sp, scheme=True, equiv=False):
+    """Options shared by the commands; equiv=True marks the partition
+    options as accepted but ignored (equiv plans its own miter)."""
     sp.add_argument("--inverse-order", action="store_true",
                     help="reverse the qubit-major index order")
     sp.add_argument("--eps", type=float, default=1e-10,
                     help="weight canonicalization grid (default 1e-10)")
     sp.add_argument("--norm-eps", type=float, default=1e-9,
                     help="comparison tolerance (default 1e-9)")
+    note = "; accepted but not used by equiv" if equiv else ""
     if scheme:
         sp.add_argument("--scheme", choices=["seq", "p1", "p2"], default="seq",
-                        help="contraction strategy (default seq)")
-    sp.add_argument("--k", type=int, default=None, help="scheme p1 crossing-CX budget")
-    sp.add_argument("--k1", type=int, default=None, help="scheme p2 CX-cut budget")
-    sp.add_argument("--k2", type=int, default=None, help="scheme p2 C-block qubit cap")
+                        help="contraction strategy (default seq)" + note)
+    sp.add_argument("--k", type=int, default=None, help="scheme p1 crossing-CX budget" + note)
+    sp.add_argument("--k1", type=int, default=None, help="scheme p2 CX-cut budget" + note)
+    sp.add_argument("--k2", type=int, default=None, help="scheme p2 C-block qubit cap" + note)
 
 
 def build_parser():
@@ -277,12 +297,15 @@ def build_parser():
     _add_common(sp)
     sp.set_defaults(func=cmd_amp)
 
-    sp = sub.add_parser("equiv", help="check two circuits for equivalence")
+    sp = sub.add_parser("equiv", help="check two circuits for equivalence",
+                        description="Check B^-1 * A against the identity, contracting "
+                        "from the A/B junction outward; neither circuit's own "
+                        "diagram is built.")
     sp.add_argument("file_a")
     sp.add_argument("file_b")
     sp.add_argument("--up-to-phase", action="store_true",
                     help="ignore a global phase difference")
-    _add_common(sp)
+    _add_common(sp, equiv=True)
     sp.set_defaults(func=cmd_equiv)
 
     sp = sub.add_parser("dot", help="export a circuit's diagram as Graphviz DOT")

@@ -51,9 +51,10 @@ class PartitionConfig:
 class Part:
     """Gate slots assigned to one region of one vertical segment."""
 
-    region: str   # 'A' top, 'B' bottom, 'C' middle block
+    region: str   # 'A' top, 'B' bottom, 'C' middle block, 'M' miter
     segment: int
-    items: list   # (gate position, role) with role in {'whole', 'copy', 'xor'}
+    items: list   # (gate position, role) with role in {'whole', 'copy', 'xor'},
+                  # folded in list order
 
     @property
     def gate_indices(self):
@@ -142,6 +143,22 @@ def partition_scheme2(circ, cfg):
     return parts
 
 
+def partition_miter(n_a, n_b):
+    """One part over a miter circuit (n_a gates of A, then n_b gates of B's
+    inverse) whose items run outward from the A/B junction, each time from
+    the side that has used the smaller fraction of its gates, A on a tie."""
+    items = []
+    i = j = 0
+    while i < n_a or j < n_b:
+        if i < n_a and (j == n_b or i * n_b <= j * n_a):
+            items.append((n_a - 1 - i, "whole"))
+            i += 1
+        else:
+            items.append((n_a + j, "whole"))
+            j += 1
+    return [Part("M", 0, items)]
+
+
 def partition(circ, cfg):
     cfg = cfg.resolve(circ.n_qubits)
     if cfg.scheme == SEQUENTIAL:
@@ -212,13 +229,13 @@ def _leaf(net, per_gate, pos, role):
 
 
 def plan_from_parts(net, parts, config=None):
-    """Build the contraction tree: per-part left fold in circuit order, then
+    """Build the contraction tree: per-part left fold in item order, then
     A*B(*C) per segment, then a left fold over segments."""
     circ = net.circuit
     per_gate, plain_boundary = _plain_walk(circ)
     exec_boundary = net.open_labels()
 
-    part_leaves = [[_leaf(net, per_gate, p, role) for p, role in sorted(part.items)]
+    part_leaves = [[_leaf(net, per_gate, p, role) for p, role in part.items]
                    for part in parts]
     exec_total = Counter()
     plain_total = Counter()

@@ -1,10 +1,16 @@
 import math
 import random
 
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from tensordd.circuit import (
+    GATE_PARAMS,
+    GATE_QUBITS,
+    Circuit,
     Gate,
     QasmError,
     allocate_indices,
@@ -13,6 +19,7 @@ from tensordd.circuit import (
     diagonal_wires,
     functionality_dense,
     gate_matrix,
+    inverse_gate,
     parse_qasm,
     unitary_as_dense,
 )
@@ -69,6 +76,14 @@ def test_parse_version_optional(text):
     HEADER + "h r[0];",                         # unknown register
     HEADER + "qreg r[2];",                      # second register
     HEADER + "rz(import) q[0];",                # bad parameter text
+    HEADER + "rz(2**10) q[0];",                 # power is not in the grammar
+    HEADER + "rz(1e999) q[0];",                 # non-finite value
+    HEADER + "rz(1e308*10) q[0];",              # overflows to inf
+    HEADER + "rz(1/0) q[0];",                   # division by zero
+    HEADER + "rz(0x10) q[0];",                  # hex literal
+    HEADER + "rz(pi pi) q[0];",                 # two operands, no operator
+    pytest.param(HEADER + "rz(%s1) q[0];" % ("-" * 100000), id="nested-too-deep"),
+    pytest.param("OPENQASM 2.0;\nqreg q[%s];" % ("9" * 5000), id="5000-digit-qreg"),
     HEADER + "gate foo a { h a; };",            # user-defined gates unsupported
     "h q[0];",                                  # gate before qreg
     "OPENQASM 2.0;\nqreg q[0];",                # empty register
@@ -77,6 +92,30 @@ def test_parse_version_optional(text):
 def test_parse_errors(bad):
     with pytest.raises(QasmError):
         parse_qasm(bad)
+
+
+def test_parse_param_grammar():
+    circ = parse_qasm(HEADER + "u3(-(pi+1)*2/3, +.5e-3, 3.) q[0];")
+    assert circ.gates[0].params == (-(math.pi + 1) * 2 / 3, 0.5e-3, 3.0)
+
+
+QASM_TOKENS = ["OPENQASM 2.0;", "OPENQASM 3.0;", 'include "qelib1.inc";', "qreg q[3];",
+               "qreg q[0];", "qreg r[2];", "creg c[3];", "measure q[0] -> c[0];",
+               "barrier q;", "gate g a { h a; }", "if", ";", "\n", " ", "//", "(", ")",
+               ",", "[", "]", "q[0]", "q[1]", "q[2]", "q[7]", "r[0]", "pi", "1e999",
+               "2**10", "-", "/", "*", "0.5"] + sorted(GATE_QUBITS)
+
+
+@settings(deadline=None, max_examples=300)
+@given(st.one_of(st.text(max_size=80),
+                 st.lists(st.sampled_from(QASM_TOKENS), max_size=30).map(" ".join)))
+def test_parse_returns_circuit_or_qasm_error(text):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        try:
+            assert isinstance(parse_qasm(text), Circuit)
+        except QasmError:
+            pass
 
 
 # --- gate matrices ---
@@ -118,6 +157,19 @@ def test_u_gates_relate_to_rotations():
                        gate_matrix("rx", (th,)))
     assert np.allclose(gate_matrix("u2", (0.2, 1.5)),
                        gate_matrix("u3", (math.pi / 2, 0.2, 1.5)))
+
+
+@pytest.mark.parametrize("kind", sorted(GATE_QUBITS))
+def test_inverse_gate_undoes_gate(kind):
+    rng = random.Random("inverse/" + kind)
+    for _ in range(5):
+        params = tuple(rng.uniform(-2 * math.pi, 2 * math.pi)
+                       for _ in range(GATE_PARAMS.get(kind, 0)))
+        g = Gate(kind, tuple(range(GATE_QUBITS[kind])), params)
+        inv = inverse_gate(g)
+        assert inv.qubits == g.qubits
+        product = gate_matrix(inv.kind, inv.params) @ gate_matrix(kind, params)
+        assert np.allclose(product, np.eye(product.shape[0]), atol=1e-12)
 
 
 def test_gate_matrix_unknown():

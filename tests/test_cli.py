@@ -1,9 +1,15 @@
 import json
 import os
+import random
+import time
 
+import numpy as np
 import pytest
 
-from tensordd.cli import build_parser, main
+from tensordd.circuit import circuit_unitary, parse_qasm
+from tensordd.cli import build_parser, equivalent, main
+
+from util import random_circuit_text
 
 EXAMPLE = "circuits/example_2q.qasm"
 DEMO = "circuits/partition_demo.qasm"
@@ -86,6 +92,83 @@ def test_equiv_qubit_mismatch(tmp_path, capsys):
     assert "qubit counts differ" in capsys.readouterr().err
 
 
+def _variants(rng, n, lines):
+    """(name, B's gate lines) for A's gate lines: an equivalent rewrite, a
+    dropped gate, a perturbed angle and a global-phase rewrite."""
+    i = rng.randrange(len(lines) + 1)
+    pair = ["%s q[%d];" % (rng.choice("hxyz"), rng.randrange(n))] * 2
+    yield "rewrite", lines[:i] + pair + lines[i:]
+    if lines:
+        i = rng.randrange(len(lines))
+        yield "drop", lines[:i] + lines[i + 1:]
+    angled = [i for i, line in enumerate(lines) if "(" in line]
+    if angled:
+        i = rng.choice(angled)
+        cut = lines[i].index("(") + 1
+        yield "perturb", lines[:i] + [lines[i][:cut] + "0.25+" + lines[i][cut:]] + lines[i + 1:]
+    # Z*Y*X = -i*I
+    yield "phase", lines + ["x q[0];", "y q[0];", "z q[0];"]
+
+
+def _oracle_equivalent(text_a, text_b, up_to_phase):
+    ua = circuit_unitary(parse_qasm(text_a))
+    ub = circuit_unitary(parse_qasm(text_b))
+    if up_to_phase:
+        overlap = np.vdot(ub, ua)
+        if abs(overlap) < 1e-6:
+            return False
+        ub = ub * (overlap / abs(overlap))
+    return bool(np.max(np.abs(ua - ub)) <= 1e-9)
+
+
+def test_equiv_agrees_with_unitary_oracle(tmp_path):
+    rng = random.Random(7)
+    args = build_parser().parse_args(["equiv", "a", "b"])
+    verdicts = set()
+    for _ in range(30):
+        n = rng.randint(1, 5)
+        text_a = random_circuit_text(rng, n, rng.randint(0, 20))
+        head, lines = text_a.split("\n")[:3], text_a.split("\n")[3:]
+        pa = tmp_path / "a.qasm"
+        pa.write_text(text_a)
+        for name, body in _variants(rng, n, lines):
+            text_b = "\n".join(head + body)
+            pb = tmp_path / "b.qasm"
+            pb.write_text(text_b)
+            for up_to_phase in (False, True):
+                want = _oracle_equivalent(text_a, text_b, up_to_phase)
+                got = equivalent(str(pa), str(pb), args, up_to_phase=up_to_phase)
+                assert got == want, (name, up_to_phase, text_a, text_b)
+                verdicts.add((name, up_to_phase, got))
+    # every kind of pair met the verdict its construction gives
+    for up_to_phase in (False, True):
+        assert ("rewrite", up_to_phase, True) in verdicts
+        assert ("drop", up_to_phase, False) in verdicts
+        assert ("perturb", up_to_phase, False) in verdicts
+    assert ("phase", False, False) in verdicts and ("phase", True, True) in verdicts
+
+
+def test_equiv_10_qubits_200_gates(tmp_path):
+    # the performance smoke circuit, whose own diagram has 2^20 - 1 nodes
+    text = random_circuit_text(random.Random(99), 10, 200)
+    a = tmp_path / "a.qasm"
+    a.write_text(text + "\n")
+    # an equivalent rewrite: five self-inverse pairs inserted after the header
+    rng = random.Random(1)
+    lines = text.split("\n")
+    for _ in range(5):
+        i = rng.randrange(3, len(lines) + 1)
+        pair = rng.choice(["h q[%d];" % rng.randrange(10),
+                           "cx q[%d],q[%d];" % tuple(rng.sample(range(10), 2))])
+        lines[i:i] = [pair, pair]
+    b = tmp_path / "b.qasm"
+    b.write_text("\n".join(lines) + "\n")
+    for other in (a, b):
+        t0 = time.perf_counter()
+        assert main(["equiv", str(a), str(other)]) == 0
+        assert time.perf_counter() - t0 < 20.0
+
+
 def test_dot_golden(tmp_path):
     dest = tmp_path / "out.dot"
     assert main(["dot", EXAMPLE, str(dest)]) == 0
@@ -123,6 +206,29 @@ def test_bad_qasm_is_error(tmp_path, capsys):
     p = tmp_path / "bad.qasm"
     p.write_text("OPENQASM 2.0;\nqreg q[1];\nwarp q[0];")
     assert main(["sim", str(p)]) == 2
+
+
+# (case, gate lines of a 1-qubit file or None for a missing file, extra options)
+MALFORMED = [
+    ("infinite angle", "rx(1e999) q[0];", []),
+    ("power in angle", "rx(2**10) q[0];", []),
+    ("unknown gate", "warp q[0];", []),
+    ("missing semicolon", "h q[0]", []),
+    ("qubit out of range", "h q[3];", []),
+    ("missing file", None, []),
+    ("zero eps", "h q[0];", ["--eps", "0"]),
+    ("norm-eps below eps", "h q[0];", ["--eps", "1e-6", "--norm-eps", "1e-9"]),
+]
+
+
+@pytest.mark.parametrize("command", ["sim", "equiv"])
+@pytest.mark.parametrize("case,body,extra", MALFORMED, ids=[c[0] for c in MALFORMED])
+def test_malformed_input_exits_2(tmp_path, capsys, command, case, body, extra):
+    path = str(tmp_path / "missing.qasm") if body is None else write(tmp_path, "bad.qasm", body)
+    files = [path] if command == "sim" else [path, write(tmp_path, "good.qasm", "h q[0];")]
+    assert main([command] + files + extra) == 2
+    err = capsys.readouterr().err.strip()
+    assert err.startswith("error:") and "\n" not in err
 
 
 def test_inverse_order_still_verifies(capsys):

@@ -8,7 +8,8 @@ import numpy as np
 import pytest
 
 from tensordd import diagram, planner
-from tensordd.circuit import allocate_indices, functionality_dense, parse_qasm, parse_qasm_file
+from tensordd.circuit import (Circuit, allocate_indices, functionality_dense, inverse_gate,
+                              parse_qasm, parse_qasm_file)
 from tensordd.diagram import DeadlineExceeded, NodeStore, audit, to_dense
 from tensordd.numerics import weights_equal
 from tensordd.planner import (
@@ -17,7 +18,9 @@ from tensordd.planner import (
     PlanTimeout,
     execute_plan,
     partition,
+    partition_miter,
     plan_circuit,
+    plan_from_parts,
     plan_stats,
     plan_to_json,
 )
@@ -141,6 +144,33 @@ def test_plan_to_json_shape():
     assert pj["scheme"] == "p1"
     assert len(pj["parts"]) == 4
     assert all(set(s) == {"tag", "m", "n", "r", "var"} for s in pj["steps"])
+
+
+def test_partition_miter_runs_outward_in_proportion():
+    # 3 gates of A (0-2), then 6 of B's inverse (3-8): B is taken twice as often
+    (part,) = partition_miter(3, 6)
+    assert part.gate_indices == (2, 3, 4, 1, 5, 6, 0, 7, 8)
+    assert partition_miter(0, 2)[0].gate_indices == (0, 1)
+    assert partition_miter(2, 0)[0].gate_indices == (1, 0)
+    assert partition_miter(0, 0)[0].gate_indices == ()
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_miter_plan_sums_every_label_once(seed):
+    rng = random.Random(seed)
+    a = random_circuit(rng, rng.randint(1, 4), rng.randint(0, 15))
+    b = random_circuit(rng, a.n_qubits, rng.randint(0, 15))
+    miter = Circuit(a.n_qubits, a.gates + tuple(inverse_gate(g) for g in reversed(b.gates)))
+    net = allocate_indices(miter)
+    # plan_from_parts raises PlanError when a label is summed twice or never
+    plan = plan_from_parts(net, partition_miter(len(a.gates), len(b.gates)))
+    summed = [l for node in plan.steps for l in node.var]
+    internal = {l for t in net.tensors for l in t.mult} - net.open_labels()
+    assert len(summed) == len(set(summed)) and set(summed) == internal
+    tdd, _ = execute_plan(plan, NodeStore(net.order))
+    labels = tuple(net.order.sort(net.open_labels()))
+    got = to_dense(tdd, labels).values
+    assert np.max(np.abs(got - functionality_dense(net).values)) <= 1e-9
 
 
 # --- execution ---
