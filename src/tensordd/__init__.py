@@ -1,8 +1,8 @@
 """Canonical decision-diagram representation of tensors over Boolean indices."""
 
 from .circuit import (Circuit, CircuitNet, Gate, GateTensor, QasmError,
-                      allocate_indices, circuit_unitary, cut_cnot, gate_matrix,
-                      parse_qasm, parse_qasm_file)
+                      allocate_indices, circuit_unitary, gate_matrix, parse_qasm,
+                      parse_qasm_file)
 from .dense import (NATURAL_ORDER, DenseTensor, IndexLabel, IndexOrder,
                     contract_dense, network_to_dense, slice_dense)
 from .diagram import (TERMINAL, Edge, Node, NodeStore, StoreError, Tdd, add,

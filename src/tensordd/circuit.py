@@ -43,6 +43,11 @@ class QasmError(ValueError):
     pass
 
 
+# a qubit gives at least one decision level, usually two, and the kernel
+# recurses one frame per level under the store's recursion limit of 30000
+MAX_QUBITS = 10_000
+
+
 _PARAM_CHARS = re.compile(r"^[0-9eE.+\-*/() pi]*$")
 _QREG_RE = re.compile(r"^qreg\s+([A-Za-z_]\w*)\s*\[\s*(\d{1,9})\s*\]$")
 _GATE_RE = re.compile(r"^([A-Za-z_]\w*)\s*(?:\(([^()]*(?:\([^()]*\)[^()]*)*)\))?\s*(.*)$")
@@ -129,6 +134,9 @@ def parse_qasm(text):
             reg, n_qubits = m.group(1), int(m.group(2))
             if n_qubits < 1:
                 raise QasmError("line %d: empty qreg" % line)
+            if n_qubits > MAX_QUBITS:
+                raise QasmError("line %d: qreg of %d qubits exceeds the cap of %d"
+                                % (line, n_qubits, MAX_QUBITS))
             continue
         if head in ("creg", "measure", "barrier"):
             if head not in warned:
@@ -328,25 +336,6 @@ def allocate_indices(circ, order=None):
     in_label = {q: IndexLabel(q, 0) for q in range(circ.n_qubits)}
     out_label = {q: IndexLabel(q, pos[q]) for q in range(circ.n_qubits)}
     return CircuitNet(circ, order, tensors, in_label, out_label)
-
-
-def cut_cnot(gate, control_labels, target_labels, bond):
-    """Split a CX into COPY (control side) and XOR (target side) sharing bond.
-
-    COPY is 1 on equal triples; XOR is 1 on even-parity triples. Contracting
-    them over the bond label restores the plain rank-4 CX tensor.
-    """
-    if gate.kind != "cx":
-        raise ValueError("cut_cnot needs a cx gate, got %s" % gate.kind)
-    copy_idx = tuple(control_labels) + (bond,)
-    copy_vals = np.zeros((2, 2, 2), dtype=complex)
-    copy_vals[0, 0, 0] = copy_vals[1, 1, 1] = 1
-    xor_idx = tuple(target_labels) + (bond,)
-    xor_vals = np.zeros((2, 2, 2), dtype=complex)
-    for a, b, c in itertools.product((0, 1), repeat=3):
-        if a ^ b ^ c == 0:
-            xor_vals[a, b, c] = 1
-    return DenseTensor(copy_idx, copy_vals), DenseTensor(xor_idx, xor_vals), bond
 
 
 _SELF_INVERSE = {"x", "y", "z", "h", "cx", "cz", "swap", "ccx"}

@@ -21,6 +21,9 @@ from .planner import (PartitionConfig, PlanError, PlanTimeout, execute_plan,
 # comparison-grid position for output labels; far above any real wire segment
 SPLIT_POS = 1_000_000
 
+# --verify builds the dense oracle, 2^(2n) entries for n qubits
+VERIFY_MAX_QUBITS = 10
+
 TIMEOUT_HELP = ("wall-clock budget in seconds for building each diagram; checked "
                 "between plan steps and inside a step as new nodes are made")
 
@@ -45,26 +48,48 @@ def _partition_config(args, scheme=None):
                            k=args.k, k1=args.k1, k2=args.k2)
 
 
-def _build(path, args, scheme=None, timeout_s=None):
+def _plan(path, args, scheme=None):
     circ = parse_qasm_file(path)
-    order = _order(args)
-    net = allocate_indices(circ, order)
+    net = allocate_indices(circ, _order(args))
     cfg = _partition_config(args, scheme).resolve(circ.n_qubits)
-    plan = plan_circuit(net, cfg)
-    store = NodeStore(order, _tolerance(args))
-    deadline = None if timeout_s is None else time.monotonic() + timeout_s
-    tdd, stats = execute_plan(plan, store, deadline)
-    return circ, net, cfg, plan, store, tdd, stats
+    return circ, net, cfg, plan_circuit(net, cfg)
 
 
-def _verify_deviation(net, tdd, args):
-    n = net.circuit.n_qubits
-    if n > 10:
-        raise CliError("--verify supports at most 10 qubits, got %d" % n)
+def _build(path, args, scheme=None):
+    circ, net, cfg, plan = _plan(path, args, scheme)
+    tdd, _ = execute_plan(plan, NodeStore(net.order, _tolerance(args)))
+    return circ, net, tdd
+
+
+def _verify_deviation(net, tdd):
     labels = tuple(net.order.sort(net.open_labels()))
     ref = network_to_dense([t.dense for t in net.tensors], labels, net.order)
     got = to_dense(tdd, labels)
     return float(np.max(np.abs(got.values - ref.values)))
+
+
+def _run_circuit(path, args, scheme=None, timeout_s=None, verify=False):
+    """Parse, plan and build one circuit; returns its report.
+
+    With verify, a circuit of at most VERIFY_MAX_QUBITS qubits is compared
+    with the dense oracle; a larger one is left unverified (None). Running
+    past timeout_s gives a timed-out report, which still has the circuit's
+    size and plan.
+    """
+    name = Path(path).stem
+    circ, net, cfg, plan = _plan(path, args, scheme)
+    store = NodeStore(net.order, _tolerance(args))
+    deadline = None if timeout_s is None else time.monotonic() + timeout_s
+    try:
+        tdd, stats = execute_plan(plan, store, deadline)
+    except PlanTimeout:
+        return _report(name, circ, cfg, plan, None, timeout_s=timeout_s, timed_out=True)
+    verified = None
+    max_dev = None
+    if verify and circ.n_qubits <= VERIFY_MAX_QUBITS:
+        max_dev = _verify_deviation(net, tdd)
+        verified = max_dev <= args.norm_eps
+    return _report(name, circ, cfg, plan, stats, verified=verified, max_deviation=max_dev)
 
 
 def _report(name, circ, cfg, plan, stats, timeout_s=None, timed_out=False,
@@ -101,36 +126,26 @@ def _emit_json(obj, dest):
 
 
 def cmd_sim(args):
-    name = Path(args.file).stem
-    try:
-        circ, net, cfg, plan, store, tdd, stats = _build(
-            args.file, args, timeout_s=args.timeout_s)
-    except PlanTimeout:
-        cfg = _partition_config(args)
-        report = _report(name, None, cfg, None, None,
-                         timeout_s=args.timeout_s, timed_out=True)
-        if args.json:
-            _emit_json(report, args.json)
-        print("timed out after %.2f s" % args.timeout_s, file=sys.stderr)
-        return 1
-    verified = None
-    max_dev = None
-    if args.verify:
-        max_dev = _verify_deviation(net, tdd, args)
-        verified = max_dev <= args.norm_eps
-    report = _report(name, circ, cfg, plan, stats,
-                     verified=verified, max_deviation=max_dev)
+    report = _run_circuit(args.file, args, timeout_s=args.timeout_s, verify=args.verify)
+    if args.verify and not report["timed_out"] and report["n_qubits"] > VERIFY_MAX_QUBITS:
+        raise CliError("--verify supports at most %d qubits, got %d"
+                       % (VERIFY_MAX_QUBITS, report["n_qubits"]))
     if args.json:
         _emit_json(report, args.json)
-    else:
-        print("circuit: %s (%d qubits, %d gates)" % (name, circ.n_qubits, len(circ.gates)))
-        print("scheme: %s  parts: %d" % (cfg.scheme, len(plan.parts)))
-        print("final nodes: %d  peak nodes: %d" % (stats["final_nodes"], stats["peak_nodes"]))
-        print("time: %.1f ms" % (stats["elapsed_s"] * 1000.0))
-        if verified is not None:
+    if report["timed_out"]:
+        print("timed out after %.2f s" % args.timeout_s, file=sys.stderr)
+        return 1
+    if not args.json:
+        print("circuit: %s (%d qubits, %d gates)"
+              % (report["circuit"], report["n_qubits"], report["gates"]))
+        print("scheme: %s  parts: %d" % (report["scheme"], report["parts"]))
+        print("final nodes: %d  peak nodes: %d" % (report["final_nodes"], report["peak_nodes"]))
+        print("time: %.1f ms" % report["elapsed_ms"])
+        if report["verified"] is not None:
             print("verify: max deviation %.3g (%s %g)"
-                  % (max_dev, "<=" if verified else ">", args.norm_eps))
-    return 0 if verified in (None, True) else 1
+                  % (report["max_deviation"], "<=" if report["verified"] else ">",
+                     args.norm_eps))
+    return 0 if report["verified"] in (None, True) else 1
 
 
 def _parse_bits(text, n, what):
@@ -148,7 +163,7 @@ def amplitude(net, tdd, in_bits, out_bits):
 
 
 def cmd_amp(args):
-    circ, net, cfg, plan, store, tdd, stats = _build(args.file, args)
+    circ, net, tdd = _build(args.file, args)
     in_bits = _parse_bits(args.in_bits, circ.n_qubits, "input bitstring")
     out_bits = _parse_bits(args.out_bits, circ.n_qubits, "output bitstring")
     a = amplitude(net, tdd, in_bits, out_bits)
@@ -218,7 +233,7 @@ def cmd_equiv(args):
 
 
 def cmd_dot(args):
-    circ, net, cfg, plan, store, tdd, stats = _build(args.file, args, scheme="seq")
+    _, _, tdd = _build(args.file, args, scheme="seq")
     Path(args.out).write_text(export_dot(tdd))
     return 0
 
@@ -228,30 +243,18 @@ def cmd_bench(args):
     for s in schemes:
         if s not in ("seq", "p1", "p2"):
             raise CliError("unknown scheme %r in --schemes" % s)
-    files = sorted(Path(args.directory).glob("*.qasm"))
+        # options no circuit can satisfy exit before any file runs; every
+        # scheme can cut 2 qubits, so only the options are checked here
+        _partition_config(args, s).resolve(2)
     reports = []
-    for path in files:
+    for path in sorted(Path(args.directory).glob("*.qasm")):
         for scheme in schemes:
-            name = path.stem
             try:
-                circ, net, cfg, plan, store, tdd, stats = _build(
-                    str(path), args, scheme=scheme, timeout_s=args.timeout_s)
-            except PlanTimeout:
-                cfg = _partition_config(args, scheme)
-                reports.append(_report(name, None, cfg, None, None,
-                                       timeout_s=args.timeout_s, timed_out=True))
-                continue
-            except (QasmError, OSError) as exc:
-                reports.append(_report(name, None, _partition_config(args, scheme),
+                reports.append(_run_circuit(str(path), args, scheme=scheme,
+                                            timeout_s=args.timeout_s, verify=args.verify))
+            except (QasmError, PlanError, OSError) as exc:
+                reports.append(_report(path.stem, None, _partition_config(args, scheme),
                                        None, None, error=str(exc)))
-                continue
-            verified = None
-            max_dev = None
-            if args.verify and circ.n_qubits <= 10:
-                max_dev = _verify_deviation(net, tdd, args)
-                verified = max_dev <= args.norm_eps
-            reports.append(_report(name, circ, cfg, plan, stats,
-                                   verified=verified, max_deviation=max_dev))
     _emit_json(reports, args.json)
     return 0
 

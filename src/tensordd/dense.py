@@ -10,8 +10,6 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .numerics import DEFAULT_TOLERANCE
-
 MAX_RANK = 26
 
 _LETTERS = string.ascii_letters
@@ -132,47 +130,6 @@ def contract_dense(gamma, xi, var, order=NATURAL_ORDER):
     if absent:
         vals = vals * (1 << absent)
     return DenseTensor(out_labels, np.asarray(vals, dtype=complex))
-
-
-def max_norm(phi):
-    """Largest entry magnitude."""
-    return float(np.max(np.abs(phi.values)))
-
-
-def pivot(phi, cfg=DEFAULT_TOLERANCE):
-    """First assignment in index-list lexicographic order whose magnitude is maximal.
-
-    An entry counts as maximal when within cfg.eps of the true maximum, which
-    keeps the choice stable under rounding noise.
-    """
-    m = max_norm(phi)
-    if m == 0:
-        raise ValueError("pivot of the zero tensor")
-    flat = np.abs(phi.values.reshape(-1))
-    pos = int(np.argmax(flat >= m - cfg.eps))
-    n = phi.rank
-    return {lab: (pos >> (n - 1 - i)) & 1 for i, lab in enumerate(phi.indices)}
-
-
-def normalize_tensor(phi, cfg=DEFAULT_TOLERANCE):
-    """Split phi into (pivot value p, phi/p); the zero tensor stays (0, phi)."""
-    if max_norm(phi) == 0:
-        return 0j, phi
-    a = pivot(phi, cfg)
-    sel = tuple(a[lab] for lab in phi.indices)
-    p = complex(phi.values[sel])
-    return p, DenseTensor(phi.indices, phi.values / p)
-
-
-def _canon_values(vals, eps):
-    return np.round(vals.real / eps) * eps + 1j * (np.round(vals.imag / eps) * eps)
-
-
-def is_essential(phi, x, cfg=DEFAULT_TOLERANCE):
-    """True iff the two cofactors of x differ on the canonical grid."""
-    a = _canon_values(slice_dense(phi, x, 0).values, cfg.eps)
-    b = _canon_values(slice_dense(phi, x, 1).values, cfg.eps)
-    return not np.array_equal(a, b)
 
 
 def network_to_dense(net, open_labels, order=NATURAL_ORDER, summed=()):

@@ -355,6 +355,12 @@ def _cont(store, ef, eg, var):
         k += 1
     varkey = var[k:]
     scale = wf * wg * (1 << k)
+    # nothing left to sum against a constant: the other operand is the answer
+    if not varkey:
+        if tf == TERMINAL:
+            return store.scaled(_new(Edge, (_ONE, tg)), scale)
+        if tg == TERMINAL:
+            return store.scaled(_new(Edge, (_ONE, tf)), scale)
     key = (tf, tg, varkey)
     hit = store.cont_cache.get(key)
     if hit is not None:
@@ -392,45 +398,13 @@ def contract(F, G, var):
 
 
 def tensor_product(F, G):
-    """Outer product; linear-time when every F label precedes every G label.
+    """Outer product: a contraction over no labels.
 
-    Implemented by rebuilding F with its terminal replaced by G's root; falls
-    back to a general empty-var contraction when the precedence fails.
+    Linear in the size of F when every F label precedes every G label: each
+    F node is rebuilt once, and where F reaches its terminal, G's root is
+    returned as it stands.
     """
-    _check_pair(F, G)
-    store = F.store
-    okey = store.order.key
-    if F.multiplicity and G.multiplicity:
-        ordered = max(okey(l) for l in F.multiplicity) < min(okey(l) for l in G.multiplicity)
-    else:
-        ordered = True
-    if not ordered:
-        return contract(F, G, ())
-    mult = dict(F.multiplicity)
-    for lab, m in G.multiplicity.items():
-        mult[lab] = mult.get(lab, 0) + m
-    if G.root.target == TERMINAL:
-        return Tdd(store, store.scaled(F.root, G.root.weight), mult)
-    if F.root.target == TERMINAL:
-        return Tdd(store, store.scaled(G.root, F.root.weight), mult)
-    memo = {}
-
-    def rebuild(t):
-        if t == TERMINAL:
-            return Edge(_ONE, G.root.target)
-        e = memo.get(t)
-        if e is None:
-            n = store.nodes[t]
-            e = store.make_level_node(
-                n.level,
-                store.scaled(rebuild(n.low.target), n.low.weight),
-                store.scaled(rebuild(n.high.target), n.high.weight),
-            )
-            memo[t] = e
-        return e
-
-    root = store.scaled(rebuild(F.root.target), F.root.weight * G.root.weight)
-    return Tdd(store, root, mult)
+    return contract(F, G, ())
 
 
 def slice_tdd(F, x, c):

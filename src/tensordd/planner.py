@@ -6,8 +6,8 @@ import time
 from collections import Counter
 from dataclasses import dataclass, replace
 
-from .diagram import (DeadlineExceeded, Tdd, contract, generate, reachable, size,
-                      tensor_product)
+from .dense import DenseTensor
+from .diagram import DeadlineExceeded, Tdd, contract, generate, reachable, size, tensor_product
 
 SEQUENTIAL = "seq"
 SCHEME1 = "p1"
@@ -172,7 +172,7 @@ def partition(circ, cfg):
 class PlanLeaf:
     pos: int
     tag: str
-    dense: object    # DenseTensor, or None for the degenerate copy half
+    dense: object    # DenseTensor; the constant 1 for a copy half
     exec_mult: dict
     plain: tuple
 
@@ -217,13 +217,13 @@ def _leaf(net, per_gate, pos, role):
     if role == "whole":
         plain = tuple(l for q in g.qubits for l in per_gate[pos][q])
         return PlanLeaf(pos, "%s@%d" % (g.kind, pos), gt.dense, dict(gt.mult), plain)
-    # split CX: the copy half keeps the control wire and carries no tensor
-    # (the control label just extends across the cut); the xor half carries
+    # split CX: the copy half keeps the control wire and carries the constant
+    # 1 (the control label just extends across the cut); the xor half carries
     # the whole gate tensor on the target side
     bond = ("bond", pos)
     if role == "copy":
         plain = per_gate[pos][g.qubits[0]] + (bond,)
-        return PlanLeaf(pos, "copy@%d" % pos, None, {}, plain)
+        return PlanLeaf(pos, "copy@%d" % pos, DenseTensor.constant(1), {}, plain)
     plain = per_gate[pos][g.qubits[1]] + (bond,)
     return PlanLeaf(pos, "xor@%d" % pos, gt.dense, dict(gt.mult), plain)
 
@@ -353,7 +353,7 @@ def _execute(plan, store, deadline, base):
 
     def put(key, value):
         """Make value live; returns its node count."""
-        ids = set() if value is None else reachable(store, [value.root.target])
+        ids = reachable(store, [value.root.target])
         live[key] = (value, ids)
         for t in ids:
             refs[t] = refs.get(t, 0) + 1
@@ -370,13 +370,11 @@ def _execute(plan, store, deadline, base):
         return value
 
     def leaf_value(leaf):
-        if leaf.dense is None:
-            return None
         return generate(store, leaf.dense, dict(leaf.exec_mult))
 
     step_log = []
     if plan.root is None:
-        result = None
+        result = Tdd(store, store.terminal_edge(1.0), {})
     elif isinstance(plan.root, PlanLeaf):
         result = leaf_value(plan.root)
         peak = size(result)
@@ -393,11 +391,7 @@ def _execute(plan, store, deadline, base):
             peak = max(peak, len(refs))
             lv = take(id(node.left))
             rv = take(id(node.right))
-            if lv is None:
-                res = rv
-            elif rv is None:
-                res = lv
-            elif node.var:
+            if node.var:
                 res = contract(lv, rv, node.var)
             else:
                 res = tensor_product(lv, rv)
@@ -408,11 +402,8 @@ def _execute(plan, store, deadline, base):
             # between steps so long runs stay within memory (anything that
             # existed before this plan started is left alone)
             if len(store.nodes) > store.gc_limit:
-                store.collect([v.root.target for v, _ in live.values() if v is not None],
-                              keep_below=base)
+                store.collect([v.root.target for v, _ in live.values()], keep_below=base)
         result = take(id(plan.root))
-    if result is None:
-        result = Tdd(store, store.terminal_edge(1.0), {})
     final = size(result)
     stats = {
         "final_nodes": final,

@@ -10,12 +10,12 @@ from hypothesis import given, settings, strategies as st
 from tensordd.circuit import (
     GATE_PARAMS,
     GATE_QUBITS,
+    MAX_QUBITS,
     Circuit,
     Gate,
     QasmError,
     allocate_indices,
     circuit_unitary,
-    cut_cnot,
     diagonal_wires,
     functionality_dense,
     gate_matrix,
@@ -23,7 +23,7 @@ from tensordd.circuit import (
     parse_qasm,
     unitary_as_dense,
 )
-from tensordd.dense import IndexLabel, contract_dense
+from tensordd.dense import IndexLabel
 
 from util import random_circuit
 
@@ -84,6 +84,7 @@ def test_parse_version_optional(text):
     HEADER + "rz(pi pi) q[0];",                 # two operands, no operator
     pytest.param(HEADER + "rz(%s1) q[0];" % ("-" * 100000), id="nested-too-deep"),
     pytest.param("OPENQASM 2.0;\nqreg q[%s];" % ("9" * 5000), id="5000-digit-qreg"),
+    pytest.param("OPENQASM 2.0;\nqreg q[%d];" % (MAX_QUBITS + 1), id="over-cap-qreg"),
     HEADER + "gate foo a { h a; };",            # user-defined gates unsupported
     "h q[0];",                                  # gate before qreg
     "OPENQASM 2.0;\nqreg q[0];",                # empty register
@@ -92,6 +93,10 @@ def test_parse_version_optional(text):
 def test_parse_errors(bad):
     with pytest.raises(QasmError):
         parse_qasm(bad)
+
+
+def test_parse_qreg_at_cap():
+    assert parse_qasm("OPENQASM 2.0;\nqreg q[%d];" % MAX_QUBITS).n_qubits == MAX_QUBITS
 
 
 def test_parse_param_grammar():
@@ -239,20 +244,3 @@ def test_functionality_matches_unitary_oracle():
         want = unitary_as_dense(circ, net)
         assert got.indices == want.indices
         assert np.max(np.abs(got.values - want.values)) < 1e-10
-
-
-def test_cut_cnot_reassembles():
-    c0, c1 = IndexLabel(0, 0), IndexLabel(0, 1)
-    t0, t1 = IndexLabel(1, 0), IndexLabel(1, 1)
-    bond = IndexLabel(9, 9)
-    copy, xor, b = cut_cnot(Gate("cx", (0, 1)), (c0, c1), (t0, t1), bond)
-    assert b is bond
-    assert copy.values[0, 0, 0] == 1 and copy.values[1, 1, 1] == 1 and copy.values.sum() == 2
-    for bits in np.ndindex(2, 2, 2):
-        assert xor.values[bits] == (1 if sum(bits) % 2 == 0 else 0)
-    back = contract_dense(copy, xor, {bond})
-    for ci, co, ti, to in np.ndindex(2, 2, 2, 2):
-        want = 1 if ci == co and to == ti ^ ci else 0
-        assert back.values[ci, co, ti, to] == want
-    with pytest.raises(ValueError):
-        cut_cnot(Gate("cz", (0, 1)), (c0, c1), (t0, t1), bond)

@@ -6,7 +6,7 @@ import time
 import numpy as np
 import pytest
 
-from tensordd.circuit import circuit_unitary, parse_qasm
+from tensordd.circuit import MAX_QUBITS, circuit_unitary, parse_qasm
 from tensordd.cli import build_parser, equivalent, main
 
 from util import random_circuit_text
@@ -44,6 +44,14 @@ def test_sim_json_report(tmp_path):
 def test_sim_timeout(tmp_path, capsys):
     assert main(["sim", DEMO, "--timeout-s", "0"]) == 1
     assert "timed out" in capsys.readouterr().err
+    # parsing and planning finished, so the report still describes them
+    dest = tmp_path / "report.json"
+    assert main(["sim", DEMO, "--scheme", "p1", "--timeout-s", "0", "--json", str(dest)]) == 1
+    report = json.loads(dest.read_text())
+    assert report["timed_out"] and report["time_s"] == ">0.00"
+    assert (report["n_qubits"], report["gates"], report["parts"]) == (4, 17, 2)
+    assert report["params"] == {"k": 2, "k1": 2, "k2": 3, "horizontal_cut": 2}
+    assert report["final_nodes"] is None and report["verified"] is None
 
 
 def test_amp_example(capsys):
@@ -192,6 +200,42 @@ def test_bench_directory(tmp_path, capsys):
     assert all(not r["timed_out"] for r in reports)
 
 
+def test_bench_records_unpartitionable_file(tmp_path, capsys):
+    sub = tmp_path / "circs"
+    sub.mkdir()
+    (sub / "one.qasm").write_text("OPENQASM 2.0;\nqreg q[1];\nh q[0];")
+    (sub / "two.qasm").write_text("OPENQASM 2.0;\nqreg q[2];\ncx q[0],q[1];")
+    dest = tmp_path / "bench.json"
+    assert main(["bench", str(sub), "--json", str(dest)]) == 0
+    rows = {(r["circuit"], r["scheme"]): r for r in json.loads(dest.read_text())}
+    assert len(rows) == 6
+    for scheme in ("p1", "p2"):
+        assert "empty half" in rows["one", scheme]["error"]
+    assert all("error" not in r and r["final_nodes"] is not None
+               for key, r in rows.items() if key[0] == "two" or key[1] == "seq")
+    # options that no circuit can satisfy stop before any file runs
+    for bad in (["--k", "0"], ["--k2", "1"]):
+        out = tmp_path / "never.json"
+        assert main(["bench", str(sub), "--json", str(out)] + bad) == 2
+        assert "must be at least" in capsys.readouterr().err
+        assert not out.exists()
+
+
+def test_verify_above_10_qubits(tmp_path, capsys):
+    # sim refuses to verify such a circuit; bench leaves it unverified
+    sub = tmp_path / "circs"
+    sub.mkdir()
+    path = sub / "wide.qasm"
+    path.write_text("OPENQASM 2.0;\nqreg q[11];\nh q[0];")
+    assert main(["sim", str(path), "--verify"]) == 2
+    assert "at most 10 qubits" in capsys.readouterr().err
+    dest = tmp_path / "bench.json"
+    assert main(["bench", str(sub), "--schemes", "seq", "--verify", "--json", str(dest)]) == 0
+    [row] = json.loads(dest.read_text())
+    assert row["n_qubits"] == 11 and row["final_nodes"] is not None
+    assert row["verified"] is None and row["max_deviation"] is None
+
+
 def test_bench_rejects_unknown_scheme(tmp_path, capsys):
     assert main(["bench", str(tmp_path), "--schemes", "seq,warp"]) == 2
     assert "unknown scheme" in capsys.readouterr().err
@@ -208,8 +252,10 @@ def test_bad_qasm_is_error(tmp_path, capsys):
     assert main(["sim", str(p)]) == 2
 
 
-# (case, gate lines of a 1-qubit file or None for a missing file, extra options)
+# (case, gate lines of a 1-qubit file, a whole file, or None for a missing
+# file, extra options)
 MALFORMED = [
+    ("qreg over the cap", "OPENQASM 2.0;\nqreg q[%d];" % (MAX_QUBITS + 1), []),
     ("infinite angle", "rx(1e999) q[0];", []),
     ("power in angle", "rx(2**10) q[0];", []),
     ("unknown gate", "warp q[0];", []),
@@ -224,7 +270,11 @@ MALFORMED = [
 @pytest.mark.parametrize("command", ["sim", "equiv"])
 @pytest.mark.parametrize("case,body,extra", MALFORMED, ids=[c[0] for c in MALFORMED])
 def test_malformed_input_exits_2(tmp_path, capsys, command, case, body, extra):
-    path = str(tmp_path / "missing.qasm") if body is None else write(tmp_path, "bad.qasm", body)
+    path = str(tmp_path / "bad.qasm")
+    if body is not None and body.startswith("OPENQASM"):
+        (tmp_path / "bad.qasm").write_text(body)
+    elif body is not None:
+        write(tmp_path, "bad.qasm", body)
     files = [path] if command == "sim" else [path, write(tmp_path, "good.qasm", "h q[0];")]
     assert main([command] + files + extra) == 2
     err = capsys.readouterr().err.strip()

@@ -218,6 +218,25 @@ def test_tensor_product_matches_dense(seed):
     assert not audit(store)
 
 
+@pytest.mark.parametrize("var", [(), (L[0],)], ids=["no-var", "var-above-root"])
+def test_contract_with_constant_returns_other_operand(var):
+    # with one operand constant and nothing left to sum below the root, the
+    # kernel returns the other operand as it stands: no node is looked up,
+    # made or cached
+    rng = random.Random(3)
+    store = NodeStore()
+    pf = rand_dense(rng, tuple(L[1:6]))
+    F = generate(store, pf)
+    pc = DenseTensor.constant(0.5j)
+    c = generate(store, pc)
+    before = (store.unique_hits, len(store.nodes), len(store.cont_cache))
+    for a, b in ((F, c), (c, F)):
+        H = contract(a, b, var)
+        assert H.root.target == F.root.target
+        assert (store.unique_hits, len(store.nodes), len(store.cont_cache)) == before
+        assert_matches(H, contract_dense(pf, pc, set(var)))
+
+
 def test_tensor_product_interleaved_falls_back():
     rng = random.Random(7)
     store = NodeStore()

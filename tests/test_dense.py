@@ -8,23 +8,13 @@ from tensordd.dense import (
     IndexLabel,
     IndexOrder,
     contract_dense,
-    is_essential,
-    max_norm,
     network_to_dense,
-    normalize_tensor,
-    pivot,
     slice_dense,
 )
 
 A = IndexLabel(0, 0)
 B = IndexLabel(1, 0)
 C = IndexLabel(2, 0)
-
-
-def rand_tensor(rng, labels):
-    n = 2 ** len(labels)
-    flat = [complex(rng.uniform(-1, 1), rng.uniform(-1, 1)) for _ in range(n)]
-    return DenseTensor.from_flat(labels, flat)
 
 
 def test_label_str():
@@ -102,39 +92,6 @@ def test_contract_dense_absent_var_doubles():
     assert out.values == 12  # 3 * 2 * 2
 
 
-def test_max_norm_and_pivot():
-    t = DenseTensor.from_flat((A, B), [1, -2j, 2, 1])
-    assert max_norm(t) == 2.0
-    assert pivot(t) == {A: 0, B: 1}  # first maximal entry in lex order
-    with pytest.raises(ValueError):
-        pivot(DenseTensor.constant(0))
-
-
-def test_normalize_tensor():
-    t = DenseTensor.from_flat((A,), [1j, 0.5])
-    p, n = normalize_tensor(t)
-    assert p == 1j
-    assert np.allclose(n.values * p, t.values)
-    assert n.values[0] == 1
-    z = DenseTensor.from_flat((A,), [0, 0])
-    p, n = normalize_tensor(z)
-    assert p == 0
-    assert n is z
-
-
-def test_is_essential():
-    same = DenseTensor.from_flat((A, B), [1, 2, 1, 2])
-    assert not is_essential(same, A)
-    assert is_essential(same, B)
-    h = DenseTensor.from_flat((A, B), np.array([1, 1, 1, -1]) / np.sqrt(2))
-    assert is_essential(h, A) and is_essential(h, B)
-
-
-def test_is_essential_ignores_sub_grid_noise():
-    t = DenseTensor.from_flat((A,), [0.5, 0.5 + 1e-14])
-    assert not is_essential(t, A)
-
-
 def test_network_to_dense_matches_einsum():
     rng = np.random.default_rng(5)
     m1 = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
@@ -168,16 +125,3 @@ def test_slices_reassemble(bits):
     s1 = slice_dense(t, B, 1)
     re = np.stack([s0.values, s1.values], axis=1)
     assert np.array_equal(re, t.values)
-
-
-@given(st.integers(0, 10 ** 9))
-def test_normalize_bounds(seed):
-    import random
-
-    rng = random.Random(seed)
-    t = rand_tensor(rng, (A, B))
-    p, n = normalize_tensor(t)
-    if p != 0:
-        assert max_norm(n) <= 1 + 1e-6
-        sel = tuple(pivot(t)[lab] for lab in t.indices)
-        assert abs(n.values[sel] - 1) < 1e-12

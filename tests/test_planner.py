@@ -347,20 +347,7 @@ def run_recording_live_sets(monkeypatch, plan, store):
     nodes), the expectations counted by brute force while the plan runs."""
     live = []      # values made and not yet consumed, by identity
     samples = [0]  # live union sizes before and after every kernel step
-    sizes = {}     # id(plan entry) -> node count of its value
     kernel = []    # node counts of the kernel results, in call order
-    leaf_of = {}
-
-    def entries(e):
-        if isinstance(e, planner.PlanLeaf):
-            if e.dense is not None:
-                leaf_of[id(e.dense)] = e
-        else:
-            entries(e.left)
-            entries(e.right)
-
-    if plan.root is not None:
-        entries(plan.root)
 
     def union():
         samples.append(len(brute_reachable(store, [v.root.target for v in live])))
@@ -368,7 +355,6 @@ def run_recording_live_sets(monkeypatch, plan, store):
     def generate(s, dense, mult=None):
         value = real_generate(s, dense, mult)
         live.append(value)
-        sizes[id(leaf_of[id(dense)])] = len(brute_reachable(store, [value.root.target]))
         return value
 
     def step(fn):
@@ -388,22 +374,10 @@ def run_recording_live_sets(monkeypatch, plan, store):
     monkeypatch.setattr(planner, "tensor_product", step(planner.tensor_product))
     result, stats = execute_plan(plan, store)
     monkeypatch.undo()
-
-    def is_none(e):
-        if isinstance(e, planner.PlanLeaf):
-            return e.dense is None
-        return is_none(e.left) and is_none(e.right)
-
-    calls = iter(kernel)
-    for node in plan.steps:
-        if not (is_none(node.left) or is_none(node.right)):
-            sizes[id(node)] = next(calls)
-        else:
-            side = node.right if is_none(node.left) else node.left
-            sizes[id(node)] = sizes.get(id(side), 0)
     final = len(brute_reachable(store, [result.root.target]))
-    return (result, stats, max(max(samples), final),
-            [sizes[id(node)] for node in plan.steps])
+    # every plan step is one kernel call
+    assert len(kernel) == len(plan.steps)
+    return result, stats, max(max(samples), final), kernel
 
 
 @pytest.mark.parametrize("scheme", ["seq", "p1", "p2"])
