@@ -5,9 +5,9 @@ from .circuit import (Circuit, CircuitNet, Gate, GateTensor, QasmError,
                       parse_qasm_file)
 from .dense import (NATURAL_ORDER, DenseTensor, IndexLabel, IndexOrder,
                     contract_dense, network_to_dense, slice_dense)
-from .diagram import (TERMINAL, Edge, Node, NodeStore, StoreError, Tdd, add,
-                      audit, contract, edge_count, evaluate, export_dot,
-                      generate, reachable, relabel, size, slice_tdd,
+from .diagram import (TERMINAL, Edge, NodeStore, StoreError, Tdd, add,
+                      audit, contract, evaluate, export_dot,
+                      generate, reachable, relabel, size,
                       tensor_product, to_dense)
 from .numerics import (DEFAULT_TOLERANCE, ToleranceConfig, canonical,
                        format_weight, is_one, is_zero, weights_equal)

@@ -43,9 +43,12 @@ class QasmError(ValueError):
     pass
 
 
-# a qubit gives at least one decision level, usually two, and the kernel
-# recurses one frame per level under the store's recursion limit of 30000
+# a qubit gives at least one decision level, usually two; the kernel recurses
+# one frame per level, under diagram.RECURSION_LIMIT (30000) while it runs
 MAX_QUBITS = 10_000
+
+# checked as gates are parsed, so a longer file stops before it is planned
+MAX_GATES = 100_000
 
 
 _PARAM_CHARS = re.compile(r"^[0-9eE.+\-*/() pi]*$")
@@ -175,6 +178,8 @@ def parse_qasm(text):
                             % (line, kind, GATE_QUBITS[kind], len(qubits)))
         if len(set(qubits)) != len(qubits):
             raise QasmError("line %d: repeated qubit in %s" % (line, kind))
+        if len(gates) == MAX_GATES:
+            raise QasmError("line %d: more than %d gates" % (line, MAX_GATES))
         gates.append(Gate(kind, tuple(qubits), params))
     if n_qubits is None:
         raise QasmError("no qreg declared")

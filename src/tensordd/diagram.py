@@ -10,7 +10,9 @@ label; labels appear only at the label-facing functions.
 
 from __future__ import annotations
 
+import functools
 import itertools
+import math
 import sys
 import time
 from dataclasses import dataclass
@@ -32,17 +34,30 @@ class Edge(NamedTuple):
     target: int
 
 
-class Node(NamedTuple):
-    """level is the store order's integer key of the node's index label."""
-
-    level: int
-    low: Edge
-    high: Edge
-
-
-# hot paths build Edge/Node values without NamedTuple's Python-level __new__
+# hot paths build Edge values without NamedTuple's Python-level __new__
 _new = tuple.__new__
 _ZERO_EDGE = Edge(_ZERO, TERMINAL)
+
+# unique keys give each child id this many bits: ids index the node lists,
+# so an id outgrows its field only after 2**40 slots (8 TB per list)
+ID_BITS = 40
+
+# the kernel, add and the walks over a diagram recurse one frame per level
+RECURSION_LIMIT = 30_000
+
+
+def _deep(fn):
+    """Run fn under at least RECURSION_LIMIT, restoring the caller's limit on return."""
+    @functools.wraps(fn)
+    def run(*args):
+        old = sys.getrecursionlimit()
+        sys.setrecursionlimit(max(old, RECURSION_LIMIT))
+        try:
+            return fn(*args)
+        finally:
+            sys.setrecursionlimit(old)
+
+    return run
 
 
 class StoreError(ValueError):
@@ -59,10 +74,14 @@ DEADLINE_CHECK_IDS = 1 << 14
 
 
 class NodeStore:
-    """Owns the unique table, the computed caches and the index order.
+    """Owns the nodes, the unique table, the computed caches and the index order.
 
-    Node id 0 is the single terminal with value 1; nonzero terminal values
-    live on the incoming edge weights, so the terminal never needs rewriting.
+    Nodes are parallel lists indexed by node id: level, w0/t0 (low edge
+    weight and target) and w1/t1 (high edge). Slot 0 is the single terminal,
+    value 1, at an infinite level below every real one, so the top level of
+    two roots is their min; terminal values live on incoming edge weights. A
+    collected slot holds None throughout, and ids are never reused. unique
+    maps each live node's node_key to its id, so its length is the live count.
 
     deadline, when set, is an absolute time.monotonic() value: make_level_node
     raises DeadlineExceeded once it has passed, reading the clock once every
@@ -73,7 +92,7 @@ class NodeStore:
     def __init__(self, order=None, cfg=None, gc_limit=1_000_000, cache_limit=2_000_000):
         self.order = order if order is not None else IndexOrder()
         self.cfg = cfg if cfg is not None else DEFAULT_TOLERANCE
-        self.nodes = {}
+        self.level, self.w0, self.t0, self.w1, self.t1 = [math.inf], [None], [None], [None], [None]
         self.unique = {}
         self.add_cache = {}
         self.cont_cache = {}
@@ -84,10 +103,20 @@ class NodeStore:
         self.gc_limit = gc_limit
         self.cache_limit = cache_limit
         self.gc_runs = 0
-        self._next = 1
         self.deadline = None
-        if sys.getrecursionlimit() < 30000:
-            sys.setrecursionlimit(30000)
+        eps = self.cfg.eps
+        self.half = 0.5 * eps
+        # a normalized weight has modulus at most 1/(1-eps), so its grid
+        # cells offset by _cell_off are nonnegative and fit in _cell_bits
+        self._one_cell = round(1.0 / eps)
+        self._cell_off = round(1.0 / (eps * (1.0 - eps))) + 2
+        self._cell_bits = (2 * self._cell_off).bit_length()
+
+    def node(self, t):
+        """(level, w0, t0, w1, t1) of node t; KeyError for the terminal or an id not live."""
+        if not 0 < t < len(self.level) or self.level[t] is None:
+            raise KeyError(t)
+        return self.level[t], self.w0[t], self.t0[t], self.w1[t], self.t1[t]
 
     def terminal_edge(self, w):
         """Edge into the terminal; the value keeps full precision.
@@ -102,66 +131,53 @@ class NodeStore:
             return _ZERO_EDGE
         return Edge(w, TERMINAL)
 
-    def scaled(self, e, c):
-        """Edge e with its weight multiplied by c; near-zero snaps to the terminal.
+    def node_key(self, level, w0, t0, w1, t1):
+        """Unique-table key, one int, of a node with one child weight exactly 1.
 
-        The product itself is kept at full precision: rounding in-flight
-        weights would inject grid-pitch noise at every step, and two
-        contraction orders of the same circuit would then disagree by whole
-        grid cells. Only weights stored inside nodes are grid-rounded.
+        From the top: level, t0, t1, the grid cells of the other weight and a
+        side bit, 1 when that weight is w0 and cleared on the grid cell of 1.
+        Keys are equal exactly when levels, targets and both weights' cells are.
         """
-        w = e.weight * c
-        half = 0.5 * self.cfg.eps
-        if -half <= w.real <= half and -half <= w.imag <= half:
-            return _ZERO_EDGE
-        return _new(Edge, (w, e.target))
-
-    def node_key(self, level, e0, e1):
-        """Unique-table key: child weights as integer grid cells, targets exact."""
         eps = self.cfg.eps
-        w0 = e0.weight
-        w1 = e1.weight
-        return (level, round(w0.real / eps), round(w0.imag / eps), e0.target,
-                round(w1.real / eps), round(w1.imag / eps), e1.target)
+        w, side = (w1, 0) if w0 == 1 else (w0, 1)
+        re = round(w.real / eps)
+        im = round(w.imag / eps)
+        if im == 0 and re == self._one_cell:
+            side = 0
+        bits, off = self._cell_bits, self._cell_off
+        ids = (level << ID_BITS | t0) << ID_BITS | t1
+        return (((ids << bits | re + off) << bits | im + off) << 1) | side
 
     def make_node(self, x, low, high):
-        """make_level_node for the index label x."""
-        return self.make_level_node(self.order.key(x), low, high)
+        """make_level_node for the index label x and two edges."""
+        return self.make_level_node(self.order.key(x), *low, *high)
 
-    def _order_error(self, level, child):
-        return StoreError("index %s does not precede child index %s"
-                          % (self.order.label(level), self.order.label(self.nodes[child].level)))
-
-    def make_level_node(self, level, low, high):
+    def make_level_node(self, level, w0, t0, w1, t1):
         """Canonicalizing node constructor over the integer level of an index.
 
-        Returns an edge (w, n) with w * value(n) = xbar*w0*value(low) +
-        x*w1*value(high), value(n) normal, and n unique in the store. The
+        Returns an edge (w, n) with w * value(n) = xbar*w0*value(t0) +
+        x*w1*value(t1), value(n) normal, and n unique in the store. The
         unique-table key rounds the child weights to the grid, but the node
         keeps the full-precision weights of its first insertion: weights that
         agree to within the grid pitch are interned to one representative, so
         arithmetic never sees a quantization step that could push two
         computations of the same quantity into different nodes.
         """
-        eps = self.cfg.eps
-        half = 0.5 * eps
-        w0 = low.weight
-        w1 = high.weight
+        half = self.half
         if -half <= w0.real <= half and -half <= w0.imag <= half:
-            w0 = _ZERO
+            w0, t0 = _ZERO, TERMINAL
         if -half <= w1.real <= half and -half <= w1.imag <= half:
-            w1 = _ZERO
-        t0 = TERMINAL if w0 == 0 else low.target
-        t1 = TERMINAL if w1 == 0 else high.target
-        if t0 != TERMINAL and level >= self.nodes[t0].level:
-            raise self._order_error(level, t0)
-        if t1 != TERMINAL and level >= self.nodes[t1].level:
-            raise self._order_error(level, t1)
+            w1, t1 = _ZERO, TERMINAL
+        levels = self.level
+        if level >= levels[t0] or level >= levels[t1]:
+            child = levels[t0] if level >= levels[t0] else levels[t1]
+            raise StoreError("index %s does not precede child index %s"
+                             % (self.order.label(level), self.order.label(child)))
         if w0 == 0 and w1 == 0:
             return _ZERO_EDGE
         # divide through by the dominant cofactor weight; near-ties keep the
         # 0-side, with a relative margin so the quotient stays within 1+2eps
-        if w0 != 0 and (w1 == 0 or abs(w0) >= abs(w1) * (1.0 - eps)):
+        if w0 != 0 and (w1 == 0 or abs(w0) >= abs(w1) * (1.0 - self.cfg.eps)):
             w, n0, n1 = w0, _ONE, w1 / w0
         else:
             w, n0, n1 = w1, w0 / w1, _ONE
@@ -169,22 +185,23 @@ class NodeStore:
             n0, t0 = _ZERO, TERMINAL
         if -half <= n1.real <= half and -half <= n1.imag <= half:
             n1, t1 = _ZERO, TERMINAL
-        e0 = _new(Edge, (n0, t0))
-        e1 = _new(Edge, (n1, t1))
         if t0 == t1 and weights_equal(n0, n1, self.cfg):
             return _new(Edge, (w, t0))
-        key = self.node_key(level, e0, e1)
+        key = self.node_key(level, n0, t0, n1, t1)
         nid = self.unique.get(key)
         if nid is None:
-            nid = self._next
+            nid = len(levels)
             if (not nid % DEADLINE_CHECK_IDS and self.deadline is not None
                     and time.monotonic() > self.deadline):
                 raise DeadlineExceeded("store deadline passed at node id %d" % nid)
-            self._next += 1
-            self.nodes[nid] = _new(Node, (level, e0, e1))
+            levels.append(level)
+            self.w0.append(n0)
+            self.t0.append(t0)
+            self.w1.append(n1)
+            self.t1.append(t1)
             self.unique[key] = nid
-            if len(self.nodes) > self.peak_nodes:
-                self.peak_nodes = len(self.nodes)
+            if len(self.unique) > self.peak_nodes:
+                self.peak_nodes = len(self.unique)
         else:
             self.unique_hits += 1
         return _new(Edge, (w, nid))
@@ -201,20 +218,25 @@ class NodeStore:
         operations: an in-flight recursion holds edges the roots don't reach.
         """
         live = reachable(self, roots)
-        self.nodes = {t: n for t, n in self.nodes.items() if t < keep_below or t in live}
-        self.unique = {k: v for k, v in self.unique.items() if v < keep_below or v in live}
+        unique = {}
+        for k, t in self.unique.items():
+            if t < keep_below or t in live:
+                unique[k] = t
+            else:
+                self.level[t] = self.w0[t] = self.t0[t] = self.w1[t] = self.t1[t] = None
+        self.unique = unique
         self.add_cache.clear()
         self.cont_cache.clear()
         self.gc_runs += 1
         # raise the watermark when most nodes survive, so a mostly-live store
         # does not trigger a fruitless sweep on every following operation
-        if len(self.nodes) * 2 > self.gc_limit:
-            self.gc_limit = len(self.nodes) * 2
-        return len(self.nodes)
+        if len(unique) * 2 > self.gc_limit:
+            self.gc_limit = len(unique) * 2
+        return len(unique)
 
     def stats(self):
         return {
-            "live_nodes": len(self.nodes),
+            "live_nodes": len(self.unique),
             "peak_nodes": self.peak_nodes,
             "unique_hits": self.unique_hits,
             "cache_hits_add": self.cache_hits_add,
@@ -240,10 +262,6 @@ class Tdd:
     def labels(self):
         return self.store.order.sort(self.multiplicity)
 
-    @property
-    def weight(self):
-        return self.root.weight
-
 
 def _check_pair(F, G):
     if F.store is not G.store:
@@ -261,6 +279,7 @@ def generate(store, phi, multiplicity=None):
 
 
 def _gen(store, phi):
+    # recurses once per index, so at most MAX_RANK deep
     if phi.rank == 0:
         return store.terminal_edge(complex(phi.values))
     x = phi.indices[0]
@@ -269,85 +288,79 @@ def _gen(store, phi):
     return store.make_node(x, lo, hi)
 
 
-def _cofactors1(store, t, x):
-    """Cofactors at level x of a weight-1 edge into t; reuses the stored child edges."""
-    if t != TERMINAL:
-        node = store.nodes[t]
-        if node.level == x:
-            return node.low, node.high
-    e = _new(Edge, (_ONE, t))
-    return e, e
-
-
-def _top_level(store, ta, tb):
-    """First level of the two roots; at most one of ta, tb is terminal."""
-    if ta == TERMINAL:
-        return store.nodes[tb].level
-    xa = store.nodes[ta].level
-    if tb == TERMINAL:
-        return xa
-    xb = store.nodes[tb].level
-    return xa if xa <= xb else xb
-
-
-def _add(store, ea, eb):
-    if ea.weight == 0:
-        return eb
-    if eb.weight == 0:
-        return ea
-    if ea.target == eb.target:
-        w = ea.weight + eb.weight
-        return _ZERO_EDGE if is_zero(w, store.cfg) else _new(Edge, (w, ea.target))
-    if eb.target < ea.target:
-        ea, eb = eb, ea
-    ta, tb = ea.target, eb.target
+def _add(store, wa, ta, wb, tb):
+    if wa == 0:
+        return _new(Edge, (wb, tb))
+    if wb == 0:
+        return _new(Edge, (wa, ta))
+    half = store.half
+    if ta == tb:
+        w = wa + wb
+        if -half <= w.real <= half and -half <= w.imag <= half:
+            return _ZERO_EDGE
+        return _new(Edge, (w, ta))
+    if tb < ta:
+        wa, ta, wb, tb = wb, tb, wa, ta
     # the cache key quantizes the weight ratio; the recursion itself uses the
     # full-precision ratio, so the first computation for a cell fixes the
     # cached edge that every later near-identical ratio re-uses
-    ratio = eb.weight / ea.weight
+    ratio = wb / wa
     eps = store.cfg.eps
     key = (ta, tb, round(ratio.real / eps), round(ratio.imag / eps))
-    hit = store.add_cache.get(key)
-    if hit is not None:
+    res = store.add_cache.get(key)
+    if res is not None:
         store.cache_hits_add += 1
-        return store.scaled(hit, ea.weight)
-    x = _top_level(store, ta, tb)
-    a0, a1 = _cofactors1(store, ta, x)
-    nb = store.nodes[tb] if tb != TERMINAL else None
-    if nb is not None and nb.level == x:
-        b0 = store.scaled(nb.low, ratio)
-        b1 = store.scaled(nb.high, ratio)
     else:
-        b0 = b1 = _new(Edge, (ratio, tb))
-    res = store.make_level_node(x, _add(store, a0, b0), _add(store, a1, b1))
-    store.add_cache[key] = res
-    if len(store.add_cache) > store.cache_limit:
-        store.add_cache.clear()
-    return store.scaled(res, ea.weight)
+        levels = store.level
+        la = levels[ta]
+        lb = levels[tb]
+        x = la if la <= lb else lb
+        a0w, a0t, a1w, a1t = ((store.w0[ta], store.t0[ta], store.w1[ta], store.t1[ta])
+                              if la == x else (_ONE, ta, _ONE, ta))
+        if lb == x:
+            b0w, b0t, b1w, b1t = store.w0[tb] * ratio, store.t0[tb], store.w1[tb] * ratio, store.t1[tb]
+            if -half <= b0w.real <= half and -half <= b0w.imag <= half:
+                b0w, b0t = _ZERO, TERMINAL
+            if -half <= b1w.real <= half and -half <= b1w.imag <= half:
+                b1w, b1t = _ZERO, TERMINAL
+        else:
+            b0w, b0t, b1w, b1t = ratio, tb, ratio, tb
+        lw, lt = _add(store, a0w, a0t, b0w, b0t)
+        hw, ht = _add(store, a1w, a1t, b1w, b1t)
+        res = store.make_level_node(x, lw, lt, hw, ht)
+        store.add_cache[key] = res
+        if len(store.add_cache) > store.cache_limit:
+            store.add_cache.clear()
+    w = res[0] * wa
+    if -half <= w.real <= half and -half <= w.imag <= half:
+        return _ZERO_EDGE
+    return _new(Edge, (w, res[1]))
 
 
+@_deep
 def add(F, G):
     """Pointwise sum; operands must share one store."""
     _check_pair(F, G)
     mult = dict(F.multiplicity)
     for lab, m in G.multiplicity.items():
         mult[lab] = max(mult.get(lab, 0), m)
-    return Tdd(F.store, _add(F.store, F.root, G.root), mult)
+    return Tdd(F.store, _add(F.store, *F.root, *G.root), mult)
 
 
-def _cont(store, ef, eg, var):
+def _cont(store, wf, tf, wg, tg, var):
     """var: sorted tuple of the levels not yet summed on this branch."""
-    wf = ef.weight
-    if wf == 0:
+    if wf == 0 or wg == 0:
         return _ZERO_EDGE
-    wg = eg.weight
-    if wg == 0:
-        return _ZERO_EDGE
-    tf, tg = ef.target, eg.target
+    half = store.half
     if tf == TERMINAL and tg == TERMINAL:
         w = wf * wg * (1 << len(var))
-        return _ZERO_EDGE if is_zero(w, store.cfg) else _new(Edge, (w, TERMINAL))
-    x = _top_level(store, tf, tg)
+        if -half <= w.real <= half and -half <= w.imag <= half:
+            return _ZERO_EDGE
+        return _new(Edge, (w, TERMINAL))
+    levels = store.level
+    lf = levels[tf]
+    lg = levels[tg]
+    x = lf if lf <= lg else lg
     # var levels preceding both roots can never be split below: each is a
     # constant dimension contributing a factor 2, so they peel off here
     k = 0
@@ -356,39 +369,43 @@ def _cont(store, ef, eg, var):
     varkey = var[k:]
     scale = wf * wg * (1 << k)
     # nothing left to sum against a constant: the other operand is the answer
-    if not varkey:
-        if tf == TERMINAL:
-            return store.scaled(_new(Edge, (_ONE, tg)), scale)
-        if tg == TERMINAL:
-            return store.scaled(_new(Edge, (_ONE, tf)), scale)
-    key = (tf, tg, varkey)
-    hit = store.cont_cache.get(key)
-    if hit is not None:
-        store.cache_hits_cont += 1
-        return store.scaled(hit, scale)
-    summing = bool(varkey) and varkey[0] == x
-    rest = varkey[1:] if summing else varkey
-    f0, f1 = _cofactors1(store, tf, x)
-    g0, g1 = _cofactors1(store, tg, x)
-    lo = _cont(store, f0, g0, rest)
-    hi = _cont(store, f1, g1, rest)
-    if summing:
-        res = _add(store, lo, hi)
+    if not varkey and (tf == TERMINAL or tg == TERMINAL):
+        res = (_ONE, tg if tf == TERMINAL else tf)
     else:
-        res = store.make_level_node(x, lo, hi)
-    store.cont_cache[key] = res
-    # memoization only: dropping entries costs recomputation, never accuracy
-    if len(store.cont_cache) > store.cache_limit:
-        store.cont_cache.clear()
-    return store.scaled(res, scale)
+        key = (tf, tg, varkey)
+        res = store.cont_cache.get(key)
+        if res is not None:
+            store.cache_hits_cont += 1
+    if res is None:
+        summing = bool(varkey) and varkey[0] == x
+        rest = varkey[1:] if summing else varkey
+        f0w, f0t, f1w, f1t = ((store.w0[tf], store.t0[tf], store.w1[tf], store.t1[tf])
+                              if lf == x else (_ONE, tf, _ONE, tf))
+        g0w, g0t, g1w, g1t = ((store.w0[tg], store.t0[tg], store.w1[tg], store.t1[tg])
+                              if lg == x else (_ONE, tg, _ONE, tg))
+        lw, lt = _cont(store, f0w, f0t, g0w, g0t, rest)
+        hw, ht = _cont(store, f1w, f1t, g1w, g1t, rest)
+        if summing:
+            res = _add(store, lw, lt, hw, ht)
+        else:
+            res = store.make_level_node(x, lw, lt, hw, ht)
+        store.cont_cache[key] = res
+        # memoization only: dropping entries costs recomputation, never accuracy
+        if len(store.cont_cache) > store.cache_limit:
+            store.cont_cache.clear()
+    w = res[0] * scale
+    if -half <= w.real <= half and -half <= w.imag <= half:
+        return _ZERO_EDGE
+    return _new(Edge, (w, res[1]))
 
 
+@_deep
 def contract(F, G, var):
     """Contract two diagrams over var; var may name labels absent from either."""
     _check_pair(F, G)
     store = F.store
     var = set(var)
-    root = _cont(store, F.root, G.root, tuple(sorted(map(store.order.key, var))))
+    root = _cont(store, *F.root, *G.root, tuple(sorted(map(store.order.key, var))))
     mult = {}
     for src in (F.multiplicity, G.multiplicity):
         for lab, m in src.items():
@@ -407,25 +424,6 @@ def tensor_product(F, G):
     return contract(F, G, ())
 
 
-def slice_tdd(F, x, c):
-    """Fix index x of F to bit c; x must not lie below the root index."""
-    store = F.store
-    if F.root.target == TERMINAL:
-        root = F.root
-    else:
-        node = store.nodes[F.root.target]
-        level = store.order.key(x)
-        if node.level == level:
-            root = store.scaled(node.high if c else node.low, F.root.weight)
-        elif level < node.level:
-            root = F.root
-        else:
-            raise StoreError("cannot slice %s below the root index %s"
-                             % (x, store.order.label(node.level)))
-    mult = {l: m for l, m in F.multiplicity.items() if l != x}
-    return Tdd(store, root, mult)
-
-
 def evaluate(F, assignment):
     """Multiply the edge weights along the path the assignment selects.
 
@@ -436,13 +434,11 @@ def evaluate(F, assignment):
     w = F.root.weight
     t = F.root.target
     while t != TERMINAL and w != 0:
-        node = store.nodes[t]
-        x = store.order.label(node.level)
+        level, w0, t0, w1, t1 = store.node(t)
+        x = store.order.label(level)
         if x not in assignment:
             raise KeyError("assignment missing %s" % (x,))
-        e = node.high if assignment[x] else node.low
-        w = w * e.weight
-        t = e.target
+        w, t = (w * w1, t1) if assignment[x] else (w * w0, t0)
     return canonical(w, store.cfg)
 
 
@@ -459,17 +455,15 @@ def to_dense(F, indices=None):
 
 def reachable(store, targets):
     """Set of non-terminal node ids reachable from the given edge targets."""
-    seen = set()
-    stack = [t for t in targets if t != TERMINAL]
+    t0, t1 = store.t0, store.t1
+    seen = {TERMINAL}
+    stack = list(targets)
     while stack:
         t = stack.pop()
-        if t in seen:
-            continue
-        seen.add(t)
-        node = store.nodes[t]
-        for e in (node.low, node.high):
-            if e.target != TERMINAL and e.target not in seen:
-                stack.append(e.target)
+        if t not in seen:
+            seen.add(t)
+            stack += (t0[t], t1[t])
+    seen.discard(TERMINAL)
     return seen
 
 
@@ -478,10 +472,7 @@ def size(F):
     return len(reachable(F.store, [F.root.target]))
 
 
-def edge_count(F):
-    return 1 + 2 * size(F)
-
-
+@_deep
 def export_dot(F):
     """Deterministic Graphviz text: dashed 0-edges, solid 1-edges.
 
@@ -497,33 +488,35 @@ def export_dot(F):
             return
         names[t] = "n%d" % len(dfs_order)
         dfs_order.append(t)
-        visit(store.nodes[t].low.target)
-        visit(store.nodes[t].high.target)
+        _, _, t0, _, t1 = store.node(t)
+        visit(t0)
+        visit(t1)
 
     visit(F.root.target)
     lines = ["digraph tdd {"]
     lines.append('  start [shape=none, label=""];')
     for t in dfs_order:
-        lines.append('  %s [label="%s"];' % (names[t], store.order.label(store.nodes[t].level)))
+        lines.append('  %s [label="%s"];' % (names[t], store.order.label(store.level[t])))
     lines.append('  t1 [shape=box, label="1"];')
     lines.append('  start -> %s [label="%s"];'
                  % (names.get(F.root.target, "t1"), fmt(F.root.weight)))
     for t in dfs_order:
-        node = store.nodes[t]
-        for e, style in ((node.low, "dashed"), (node.high, "solid")):
+        _, w0, t0, w1, t1 = store.node(t)
+        for w, c, style in ((w0, t0, "dashed"), (w1, t1, "solid")):
             lines.append('  %s -> %s [style=%s, label="%s"];'
-                         % (names[t], names.get(e.target, "t1"), style, fmt(e.weight)))
+                         % (names[t], names.get(c, "t1"), style, fmt(w)))
     lines.append("}")
     return "\n".join(lines) + "\n"
 
 
+@_deep
 def relabel(F, mapping):
     """Rebuild F with indices renamed; mapping must be monotone for the order."""
     store = F.store
     okey = store.order.key
     levels = {okey(a): okey(b) for a, b in mapping.items()}
     old = sorted(set(map(okey, F.multiplicity))
-                 | {store.nodes[t].level for t in reachable(store, [F.root.target])})
+                 | {store.level[t] for t in reachable(store, [F.root.target])})
     mapped = [levels.get(k, k) for k in old]
     if mapped != sorted(set(mapped)):
         raise StoreError("relabel mapping is not monotone")
@@ -532,16 +525,16 @@ def relabel(F, mapping):
     def rb(t):
         e = memo.get(t)
         if e is None:
-            n = store.nodes[t]
-            e = store.make_level_node(
-                levels.get(n.level, n.level),
-                store.scaled(rb(n.low.target), n.low.weight),
-                store.scaled(rb(n.high.target), n.high.weight),
-            )
+            level, w0, t0, w1, t1 = store.node(t)
+            lo, hi = rb(t0), rb(t1)
+            e = store.make_level_node(levels.get(level, level), lo.weight * w0, lo.target,
+                                      hi.weight * w1, hi.target)
             memo[t] = e
         return e
 
-    root = store.scaled(rb(F.root.target), F.root.weight)
+    e = rb(F.root.target)
+    w = e.weight * F.root.weight
+    root = _ZERO_EDGE if is_zero(w, store.cfg) else Edge(w, e.target)
     mult = {mapping.get(l, l): m for l, m in F.multiplicity.items()}
     return Tdd(store, root, mult)
 
@@ -550,27 +543,28 @@ def audit(store):
     """Return a list of invariant violations; an empty list means sound."""
     cfg = store.cfg
     problems = []
-    for nid, node in store.nodes.items():
-        w0, w1 = node.low.weight, node.high.weight
+    ids = [t for t in range(1, len(store.level)) if store.level[t] is not None]
+    for nid in ids:
+        level, w0, t0, w1, t1 = store.node(nid)
         if not (w0 == 1 or w1 == 1):
             problems.append("node %d: no unit edge weight" % nid)
         if abs(w0) > 1 + 2 * cfg.eps or abs(w1) > 1 + 2 * cfg.eps:
             problems.append("node %d: edge weight magnitude above 1" % nid)
         if is_zero(w0, cfg) and is_zero(w1, cfg):
             problems.append("node %d: represents the zero tensor" % nid)
-        if node.low.target == node.high.target and weights_equal(w0, w1, cfg):
+        if t0 == t1 and weights_equal(w0, w1, cfg):
             problems.append("node %d: equal children, should have collapsed" % nid)
-        for e in (node.low, node.high):
-            if is_zero(e.weight, cfg) and e.target != TERMINAL:
+        for w, t in ((w0, t0), (w1, t1)):
+            if is_zero(w, cfg) and t != TERMINAL:
                 problems.append("node %d: zero-weight edge off the terminal" % nid)
-            if e.target != TERMINAL:
-                child = store.nodes.get(e.target)
+            if t != TERMINAL:
+                child = store.level[t] if t < len(store.level) else None
                 if child is None:
                     problems.append("node %d: dangling child" % nid)
-                elif node.level >= child.level:
+                elif level >= child:
                     problems.append("node %d: index order violated" % nid)
-        if store.unique.get(store.node_key(node.level, node.low, node.high)) != nid:
+        if store.unique.get(store.node_key(level, w0, t0, w1, t1)) != nid:
             problems.append("node %d: unique table mismatch" % nid)
-    if len(store.unique) != len(store.nodes):
-        problems.append("unique table size %d != node count %d" % (len(store.unique), len(store.nodes)))
+    if len(store.unique) != len(ids):
+        problems.append("unique table size %d != node count %d" % (len(store.unique), len(ids)))
     return problems

@@ -14,8 +14,9 @@ class ToleranceConfig:
     norm_eps: float = 1e-9
 
     def __post_init__(self):
-        if not self.eps > 0:
-            raise ValueError("eps must be > 0")
+        # the store's unique keys bound normalized weights by 1/(1-eps)
+        if not 0 < self.eps < 1:
+            raise ValueError("eps must lie in (0, 1)")
         if self.norm_eps < self.eps:
             raise ValueError("norm_eps must be >= eps")
 

@@ -331,7 +331,7 @@ def execute_plan(plan, store, deadline=None):
     The store's deadline is cleared again when this function returns or
     raises.
     """
-    base = store._next
+    base = len(store.level)
     store.deadline = deadline
     try:
         return _execute(plan, store, deadline, base)
@@ -401,7 +401,7 @@ def _execute(plan, store, deadline, base):
             # the store only grows during contraction; sweep dead nodes
             # between steps so long runs stay within memory (anything that
             # existed before this plan started is left alone)
-            if len(store.nodes) > store.gc_limit:
+            if len(store.unique) > store.gc_limit:
                 store.collect([v.root.target for v, _ in live.values()], keep_below=base)
         result = take(id(plan.root))
     final = size(result)

@@ -10,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 from tensordd.circuit import (
     GATE_PARAMS,
     GATE_QUBITS,
+    MAX_GATES,
     MAX_QUBITS,
     Circuit,
     Gate,
@@ -85,6 +86,7 @@ def test_parse_version_optional(text):
     pytest.param(HEADER + "rz(%s1) q[0];" % ("-" * 100000), id="nested-too-deep"),
     pytest.param("OPENQASM 2.0;\nqreg q[%s];" % ("9" * 5000), id="5000-digit-qreg"),
     pytest.param("OPENQASM 2.0;\nqreg q[%d];" % (MAX_QUBITS + 1), id="over-cap-qreg"),
+    pytest.param(HEADER + "h q[0];\n" * (MAX_GATES + 1), id="over-cap-gates"),
     HEADER + "gate foo a { h a; };",            # user-defined gates unsupported
     "h q[0];",                                  # gate before qreg
     "OPENQASM 2.0;\nqreg q[0];",                # empty register
@@ -97,6 +99,11 @@ def test_parse_errors(bad):
 
 def test_parse_qreg_at_cap():
     assert parse_qasm("OPENQASM 2.0;\nqreg q[%d];" % MAX_QUBITS).n_qubits == MAX_QUBITS
+
+
+def test_parse_gates_at_cap():
+    circ = parse_qasm(HEADER + "cx q[0],q[1];\n" * MAX_GATES)
+    assert len(circ.gates) == MAX_GATES
 
 
 def test_parse_param_grammar():

@@ -6,6 +6,7 @@ import time
 import numpy as np
 import pytest
 
+from tensordd import circuit
 from tensordd.circuit import MAX_QUBITS, circuit_unitary, parse_qasm
 from tensordd.cli import build_parser, equivalent, main
 
@@ -252,10 +253,15 @@ def test_bad_qasm_is_error(tmp_path, capsys):
     assert main(["sim", str(p)]) == 2
 
 
+# the table runs under this gate cap, so the over-the-cap file stays small;
+# every other row has fewer gates
+SMALL_GATE_CAP = 4
+
 # (case, gate lines of a 1-qubit file, a whole file, or None for a missing
 # file, extra options)
 MALFORMED = [
     ("qreg over the cap", "OPENQASM 2.0;\nqreg q[%d];" % (MAX_QUBITS + 1), []),
+    ("gates over the cap", "h q[0];\n" * (SMALL_GATE_CAP + 1), []),
     ("infinite angle", "rx(1e999) q[0];", []),
     ("power in angle", "rx(2**10) q[0];", []),
     ("unknown gate", "warp q[0];", []),
@@ -269,7 +275,8 @@ MALFORMED = [
 
 @pytest.mark.parametrize("command", ["sim", "equiv"])
 @pytest.mark.parametrize("case,body,extra", MALFORMED, ids=[c[0] for c in MALFORMED])
-def test_malformed_input_exits_2(tmp_path, capsys, command, case, body, extra):
+def test_malformed_input_exits_2(tmp_path, capsys, monkeypatch, command, case, body, extra):
+    monkeypatch.setattr(circuit, "MAX_GATES", SMALL_GATE_CAP)
     path = str(tmp_path / "bad.qasm")
     if body is not None and body.startswith("OPENQASM"):
         (tmp_path / "bad.qasm").write_text(body)

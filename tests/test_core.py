@@ -1,27 +1,28 @@
+import cmath
 import math
 import random
+import sys
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from tensordd.dense import DenseTensor, IndexLabel, IndexOrder, contract_dense, slice_dense
+from tensordd.dense import DenseTensor, IndexLabel, IndexOrder, contract_dense
 from tensordd.diagram import (
     TERMINAL,
     Edge,
     NodeStore,
     StoreError,
+    Tdd,
     add,
     audit,
     contract,
-    edge_count,
     evaluate,
     export_dot,
     generate,
     reachable,
     relabel,
     size,
-    slice_tdd,
     tensor_product,
     to_dense,
 )
@@ -60,16 +61,16 @@ def test_make_node_zero_and_collapse():
     assert store.make_node(L[0], z, z) == Edge(0j, TERMINAL)
     # equal cofactors: no node is created
     assert store.make_node(L[0], one, one) == Edge(1 + 0j, TERMINAL)
-    assert len(store.nodes) == 0
+    assert len(store.unique) == 0
 
 
 def test_make_node_normalizes_dominant_weight():
     store = NodeStore()
     e = store.make_node(L[0], store.terminal_edge(0.5), store.terminal_edge(-2j))
     assert e.weight == -2j
-    node = store.nodes[e.target]
-    assert node.high.weight == 1
-    assert abs(node.low.weight) <= 1 + 2e-10
+    _, w0, _, w1, _ = store.node(e.target)
+    assert w1 == 1
+    assert abs(w0) <= 1 + 2e-10
     assert not audit(store)
 
 
@@ -80,7 +81,7 @@ def test_make_node_hash_consing():
     assert a.target == b.target
     assert b.weight == 2
     assert store.unique_hits == 1
-    assert len(store.nodes) == 1
+    assert len(store.unique) == 1
 
 
 def test_make_node_interns_sub_grid_variants():
@@ -88,7 +89,7 @@ def test_make_node_interns_sub_grid_variants():
     a = store.make_node(L[0], store.terminal_edge(1), store.terminal_edge(0.5))
     b = store.make_node(L[0], store.terminal_edge(1), store.terminal_edge(0.5 + 1e-14))
     assert a.target == b.target
-    assert len(store.nodes) == 1
+    assert len(store.unique) == 1
 
 
 def test_make_node_rejects_order_violation():
@@ -119,11 +120,11 @@ def test_cross_store_operations_rejected():
 def test_collect_drops_garbage_keeps_live():
     store = NodeStore()
     keep = generate(store, rand_dense(random.Random(3), tuple(L[:4])))
-    base = store._next
+    base = len(store.level)
     for seed in range(5):
         generate(store, rand_dense(random.Random(10 + seed), tuple(L[:4])))
     dense_before = to_dense(keep)
-    assert len(store.nodes) > size(keep)
+    assert len(store.unique) > size(keep)
     survivors = store.collect([keep.root.target])
     assert survivors == size(keep)
     assert not audit(store)
@@ -147,6 +148,144 @@ def test_bounded_caches():
         assert len(store.cont_cache) <= store.cache_limit
 
 
+# --- the flat store: packed unique key and recursion limit ---
+
+
+class TupleKeyStore(NodeStore):
+    """Reference store: the unique key as a 7-tuple of the level, both
+    targets and the integer grid cells of both child weights."""
+
+    def node_key(self, level, w0, t0, w1, t1):
+        eps = self.cfg.eps
+        return (level, round(w0.real / eps), round(w0.imag / eps), t0,
+                round(w1.real / eps), round(w1.imag / eps), t1)
+
+
+EPS = 1e-10
+
+
+def _around(x):
+    """x and its two floating-point neighbours."""
+    return [math.nextafter(x, -math.inf), x, math.nextafter(x, math.inf)]
+
+
+# child weights: values on and next to grid-cell boundaries, several values
+# in the grid cell of 1, and near-zero values on both sides of the snap
+WEIGHTS = ([1, 1 + 0.3 * EPS, 1 - 0.3 * EPS, 0.5, 0.5 + 1e-14, -0.25, 0.25j,
+            complex(0.6, -0.8), 0.7 * EPS, 0.4 * EPS, 0]
+           + _around(1 + 0.5 * EPS) + _around(1 - 0.5 * EPS)
+           + _around(0.5 + 0.5 * EPS) + [complex(0.5, x) for x in _around(0.5 * EPS)]
+           + _around(-0.75 - 0.5 * EPS) + _around(0.5 * EPS))
+SCALES = [1, 2, -1j, complex(0.6, 0.8), 1 + 0.2 * EPS]
+
+
+def _key_fixture(store_cls):
+    """A store over an inverse order (negative levels), its parent levels and
+    its child targets: the terminal and three nodes."""
+    order = IndexOrder(inverse=True)
+    store = store_cls(order)
+    key = lambda q, p: order.key(IndexLabel(q, p))
+    one = (1 + 0j, TERMINAL)
+    a = store.make_level_node(key(0, 5), *one, 0.5 + 0j, TERMINAL)
+    b = store.make_level_node(key(0, 5), *one, -0.5j, TERMINAL)
+    c = store.make_level_node(key(1, 0), 1 + 0j, a.target, 1 + 0j, b.target)
+    return store, [key(2, 0), key(3, 7)], [TERMINAL, a.target, b.target, c.target]
+
+
+@settings(deadline=None, max_examples=80)
+@given(st.lists(st.tuples(st.integers(0, len(SCALES) - 1), st.integers(0, len(WEIGHTS) - 1),
+                          st.integers(0, len(WEIGHTS) - 1), st.integers(0, 3),
+                          st.integers(0, 3), st.integers(0, 1)),
+                min_size=1, max_size=40))
+def test_packed_key_interns_like_tuple_key(calls):
+    # the same calls against the packed key and the reference key must give
+    # the same edges: a node shares an id with an earlier one exactly when
+    # their reference keys match
+    packed, levels, targets = _key_fixture(NodeStore)
+    ref, _, _ = _key_fixture(TupleKeyStore)
+    for s, i, j, a, b, lv in calls:
+        args = (levels[lv], SCALES[s] * WEIGHTS[i], targets[a], SCALES[s] * WEIGHTS[j], targets[b])
+        got = packed.make_level_node(*args)
+        want = ref.make_level_node(*args)
+        assert (repr(got.weight), got.target) == (repr(want.weight), want.target)
+    assert packed.unique_hits == ref.unique_hits
+    assert len(packed.unique) == len(ref.unique)
+    assert not audit(packed)
+
+
+def test_packed_key_side_bit():
+    # node_key takes the weights as stored: one of them exactly 1. Over every
+    # such pair, including both weights in the cell of 1 on either side, the
+    # packed keys are equal exactly when the reference keys are
+    store, levels, targets = _key_fixture(NodeStore)
+    ref = TupleKeyStore(store.order)
+    cases = [(lv, w0, t0, w1, t1)
+             for lv in levels for t0 in targets[:2] for t1 in targets[:2]
+             for w in WEIGHTS for w0, w1 in ((1 + 0j, complex(w)), (complex(w), 1 + 0j))]
+    packed_keys = [store.node_key(*c) for c in cases]
+    ref_keys = [ref.node_key(*c) for c in cases]
+    ids = {}
+    for pk, rk in zip(packed_keys, ref_keys):
+        assert ids.setdefault(rk, pk) == pk
+    assert len(set(packed_keys)) == len(ids)
+
+
+def test_audit_reports_unique_key_mismatch():
+    store, _, targets = _key_fixture(NodeStore)
+    t = targets[1]
+    assert not audit(store)
+    store.w1[t] += 3 * EPS  # moves the stored weight into another grid cell
+    assert "node %d: unique table mismatch" % t in audit(store)
+
+
+def test_recursion_limit_left_alone():
+    before = sys.getrecursionlimit()
+    store = NodeStore()
+    assert sys.getrecursionlimit() == before
+    F = generate(store, rand_dense(random.Random(8), tuple(L[:3])))
+    contract(F, F, (L[1],))
+    assert sys.getrecursionlimit() == before
+
+
+def _phase_chain(store, depth, last):
+    """A chain of depth nodes over qubit 0's first depth positions; at each
+    the 0-child and 1-child are the next node, weighted 1 and exp(i/1000),
+    or exp(i last) at the deepest position."""
+    labels = [IndexLabel(0, p) for p in range(depth)]
+    w, t = 1 + 0j, TERMINAL
+    for x in reversed(labels):
+        phase = last if x is labels[-1] else 1e-3
+        w, t = store.make_level_node(store.order.key(x), w, t, w * cmath.exp(1j * phase), t)
+    return Tdd(store, Edge(w, t), {x: 1 for x in labels})
+
+
+def test_deep_chain_add_and_contract():
+    # the kernel recurses one frame per level: 2,000 levels overflow a
+    # limit of 1,000 unless the entry points raise it while they run. F and
+    # G differ at the deepest level only, so add recurses all the way down
+    depth = 2000
+    old = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)
+    try:
+        store = NodeStore()
+        F = _phase_chain(store, depth, 1e-3)
+        G = _phase_chain(store, depth, 0.5)
+        S = add(F, G)
+        P = contract(F, G, ())
+        assert sys.getrecursionlimit() == 1000
+    finally:
+        sys.setrecursionlimit(old)
+    assert size(F) == size(S) == size(P) == depth
+    zeros = dict.fromkeys(F.multiplicity, 0)
+    ones = dict.fromkeys(F.multiplicity, 1)
+    f1, g1 = cmath.exp(2j), cmath.exp(2.499j)
+    assert abs(evaluate(S, zeros) - 2) < 1e-9
+    assert abs(evaluate(S, ones) - (f1 + g1)) < 1e-9
+    assert abs(evaluate(P, zeros) - 1) < 1e-9
+    assert abs(evaluate(P, ones) - f1 * g1) < 1e-9
+    assert not audit(store)
+
+
 # --- diagram/tensor agreement ---
 
 
@@ -159,7 +298,6 @@ def test_generate_roundtrip(seed, rank, boolean):
     F = generate(store, phi)
     assert_matches(F, phi)
     assert not audit(store)
-    assert edge_count(F) == 1 + 2 * size(F)
 
 
 def test_generate_zero_tensor():
@@ -229,11 +367,11 @@ def test_contract_with_constant_returns_other_operand(var):
     F = generate(store, pf)
     pc = DenseTensor.constant(0.5j)
     c = generate(store, pc)
-    before = (store.unique_hits, len(store.nodes), len(store.cont_cache))
+    before = (store.unique_hits, len(store.unique), len(store.cont_cache))
     for a, b in ((F, c), (c, F)):
         H = contract(a, b, var)
         assert H.root.target == F.root.target
-        assert (store.unique_hits, len(store.nodes), len(store.cont_cache)) == before
+        assert (store.unique_hits, len(store.unique), len(store.cont_cache)) == before
         assert_matches(H, contract_dense(pf, pc, set(var)))
 
 
@@ -246,27 +384,6 @@ def test_tensor_product_interleaved_falls_back():
     H = tensor_product(F, G)
     want = contract_dense(pf, pg, set())
     assert_matches(H, want)
-
-
-@settings(deadline=None, max_examples=40)
-@given(st.integers(0, 10 ** 9))
-def test_slice_matches_dense(seed):
-    rng = random.Random(seed)
-    store = NodeStore()
-    labs = tuple(L[:rng.randrange(1, 5)])
-    phi = rand_dense(rng, labs)
-    F = generate(store, phi)
-    x = labs[0]
-    for c in (0, 1):
-        assert_matches(slice_tdd(F, x, c), slice_dense(phi, x, c))
-
-
-def test_slice_below_root_rejected():
-    store = NodeStore()
-    phi = rand_dense(random.Random(1), (L[0], L[1]))
-    F = generate(store, phi)
-    with pytest.raises(StoreError):
-        slice_tdd(F, L[1], 0)  # L[1] lies below the root variable L[0]
 
 
 def test_evaluate_requires_full_assignment():
@@ -298,7 +415,8 @@ def test_reachable_and_size():
     F = generate(store, rand_dense(random.Random(5), tuple(L[:3])))
     live = reachable(store, [F.root.target])
     assert len(live) == size(F)
-    assert all(t in store.nodes for t in live)
+    # node() raises KeyError for an id that is not live
+    assert all(store.node(t) for t in live)
 
 
 def test_sum_cancellation_gives_zero_edge():

@@ -211,6 +211,34 @@ def test_schemes_share_canonical_root():
         assert not audit(store)
 
 
+def test_audit_clean_after_builds_and_collect():
+    rng = random.Random(57)
+    first = allocate_indices(random_circuit(rng, 6, 40))
+    store = NodeStore(first.order)
+    kept, _ = execute_plan(plan_circuit(first, PartitionConfig("seq")), store)
+    base = len(store.level)
+    below = len(store.unique)
+    net = allocate_indices(random_circuit(rng, 6, 40))
+    roots = []
+    for scheme in ("seq", "p1", "p2"):
+        tdd, _ = execute_plan(plan_circuit(net, PartitionConfig(scheme)), store)
+        roots.append(tdd.root)
+        assert not audit(store)
+    assert len({r.target for r in roots}) == 1
+    # everything below base stays; above it, only what the last root reaches
+    live = store.collect([roots[-1].target], keep_below=base)
+    assert not audit(store)
+    assert live == below + len({t for t in diagram.reachable(store, [roots[-1].target]) if t >= base})
+    top = len(store.level)
+    dead = store.level[base:].count(None)
+    assert dead == top - base - (live - below)
+    # a swept id is not reused: new nodes take ids from top on
+    tdd, _ = execute_plan(plan_circuit(first, PartitionConfig("p1")), store)
+    assert tdd.root.target == kept.root.target
+    assert len(store.level) > top and store.level[base:top].count(None) == dead
+    assert not audit(store)
+
+
 def test_execute_deadline(monkeypatch):
     circ = random_circuit(random.Random(3), 5, 30)
     net = allocate_indices(circ)
@@ -292,7 +320,7 @@ def test_timeout_sweeps_what_the_plan_made(monkeypatch):
 
     for check in ("store", "planner"):
         store = store_with_earlier_result()
-        before = len(store.nodes)
+        before = len(store.unique)
         # the clock passes the deadline when a late contraction step starts:
         # inside that step through the store, or at the next between-step
         # check through the planner
@@ -319,14 +347,14 @@ def test_timeout_sweeps_what_the_plan_made(monkeypatch):
             execute_plan(plan, store, deadline=time.monotonic() + 3600.0)
         monkeypatch.undo()
         assert len(calls) == armed
-        assert len(store.nodes) == before
+        assert len(store.unique) == before
         assert not audit(store)
 
         # a rerun leaves the store as it leaves one that never timed out
         execute_plan(plan, store)
         fresh = store_with_earlier_result()
         execute_plan(plan, fresh)
-        assert len(store.nodes) == len(fresh.nodes)
+        assert len(store.unique) == len(fresh.unique)
         assert not audit(store)
 
 
@@ -337,8 +365,8 @@ def brute_reachable(store, roots):
         t = stack.pop()
         if t not in seen:
             seen.add(t)
-            node = store.nodes[t]
-            stack.extend(e.target for e in (node.low, node.high) if e.target != diagram.TERMINAL)
+            _, _, t0, _, t1 = store.node(t)
+            stack.extend(c for c in (t0, t1) if c != diagram.TERMINAL)
     return seen
 
 
