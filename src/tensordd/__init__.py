@@ -13,8 +13,6 @@ from .numerics import (DEFAULT_TOLERANCE, ToleranceConfig, canonical,
                        format_weight, is_one, is_zero, weights_equal)
 from .planner import (SCHEME1, SCHEME2, SEQUENTIAL, Part, PartitionConfig,
                       Plan, PlanError, PlanTimeout, execute_plan, partition,
-                      partition_scheme1, partition_scheme2,
-                      partition_sequential, plan_circuit, plan_from_parts,
-                      plan_stats, plan_to_json)
+                      plan_circuit, plan_from_parts)
 
 __version__ = "0.1.0"

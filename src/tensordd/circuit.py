@@ -50,6 +50,12 @@ MAX_QUBITS = 10_000
 # checked as gates are parsed, so a longer file stops before it is planned
 MAX_GATES = 100_000
 
+# "u3(-1.2345678901234568e-05,<same>,<same>) q[9999];\n", three full-precision
+# angles on a 4-digit qubit, is 85 bytes, the longest gate statement a
+# generator writes; a file gets three times that per gate for comments and
+# indentation, and a larger one is refused after MAX_BYTES + 1 bytes are read
+MAX_BYTES = MAX_GATES * 256
+
 
 _PARAM_CHARS = re.compile(r"^[0-9eE.+\-*/() pi]*$")
 _QREG_RE = re.compile(r"^qreg\s+([A-Za-z_]\w*)\s*\[\s*(\d{1,9})\s*\]$")
@@ -187,8 +193,14 @@ def parse_qasm(text):
 
 
 def parse_qasm_file(path):
-    with open(path) as fh:
-        return parse_qasm(fh.read())
+    with open(path, "rb") as fh:
+        data = fh.read(MAX_BYTES + 1)
+    if len(data) > MAX_BYTES:
+        raise QasmError("file is larger than %d bytes" % MAX_BYTES)
+    try:
+        return parse_qasm(data.decode("utf-8"))
+    except UnicodeDecodeError as exc:
+        raise QasmError("file is not UTF-8 text: %s" % exc) from None
 
 
 _SQ2 = 1.0 / math.sqrt(2.0)
@@ -267,7 +279,6 @@ class GateTensor:
     """One gate as a labeled tensor over distinct, order-sorted labels."""
 
     gate: Gate
-    pos: int
     dense: DenseTensor
     mult: dict
     wires: tuple  # per listed qubit: (in_label, out_label); equal on a hyper wire
@@ -300,18 +311,22 @@ class CircuitNet:
         return a
 
 
-def _gate_dense(gate, wires, order):
-    U = gate_matrix(gate.kind, gate.params)
-    distinct = order.sort({lab for w in wires for lab in w})
-    slot = {lab: i for i, lab in enumerate(distinct)}
-    vals = np.empty((2,) * len(distinct), dtype=complex)
-    for bits in itertools.product((0, 1), repeat=len(distinct)):
+def _matrix_dense(U, wires, order):
+    """The matrix U[out, in] as a tensor over the wires' distinct labels.
+
+    wires holds one (in_label, out_label) pair per qubit of U, most
+    significant first; a wire with one shared label reads U's diagonal on it.
+    """
+    labels = tuple(order.sort({lab for w in wires for lab in w}))
+    slot = {lab: i for i, lab in enumerate(labels)}
+    vals = np.empty((2,) * len(labels), dtype=complex)
+    for bits in itertools.product((0, 1), repeat=len(labels)):
         iin = iout = 0
         for lin, lout in wires:
             iin = (iin << 1) | bits[slot[lin]]
             iout = (iout << 1) | bits[slot[lout]]
         vals[bits] = U[iout, iin]
-    return DenseTensor(tuple(distinct), vals)
+    return DenseTensor(labels, vals)
 
 
 def allocate_indices(circ, order=None):
@@ -324,7 +339,7 @@ def allocate_indices(circ, order=None):
     order = order if order is not None else IndexOrder()
     pos = {q: 0 for q in range(circ.n_qubits)}
     tensors = []
-    for i, gate in enumerate(circ.gates):
+    for gate in circ.gates:
         wires = []
         for q, diag in zip(gate.qubits, diagonal_wires(gate)):
             lin = IndexLabel(q, pos[q])
@@ -337,7 +352,8 @@ def allocate_indices(circ, order=None):
         for lin, lout in wires:
             mult[lin] = mult.get(lin, 0) + 1
             mult[lout] = mult.get(lout, 0) + 1
-        tensors.append(GateTensor(gate, i, _gate_dense(gate, wires, order), mult, tuple(wires)))
+        U = gate_matrix(gate.kind, gate.params)
+        tensors.append(GateTensor(gate, _matrix_dense(U, wires, order), mult, tuple(wires)))
     in_label = {q: IndexLabel(q, 0) for q in range(circ.n_qubits)}
     out_label = {q: IndexLabel(q, pos[q]) for q in range(circ.n_qubits)}
     return CircuitNet(circ, order, tensors, in_label, out_label)
@@ -386,15 +402,5 @@ def functionality_dense(net):
 
 def unitary_as_dense(circ, net):
     """The unitary oracle reshaped onto the net's (possibly shared) open labels."""
-    U = circuit_unitary(circ)
-    n = circ.n_qubits
-    labels = tuple(net.order.sort(net.open_labels()))
-    slot = {lab: i for i, lab in enumerate(labels)}
-    vals = np.empty((2,) * len(labels), dtype=complex)
-    for bits in itertools.product((0, 1), repeat=len(labels)):
-        iin = iout = 0
-        for q in range(n):
-            iin = (iin << 1) | bits[slot[net.in_label[q]]]
-            iout = (iout << 1) | bits[slot[net.out_label[q]]]
-        vals[bits] = U[iout, iin]
-    return DenseTensor(labels, vals)
+    wires = [(net.in_label[q], net.out_label[q]) for q in range(circ.n_qubits)]
+    return _matrix_dense(circuit_unitary(circ), wires, net.order)

@@ -10,8 +10,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .circuit import Circuit, QasmError, allocate_indices, inverse_gate, parse_qasm_file
-from .dense import DenseTensor, IndexLabel, IndexOrder, network_to_dense
+from .circuit import (Circuit, QasmError, allocate_indices, functionality_dense, inverse_gate,
+                      parse_qasm_file)
+from .dense import DenseTensor, IndexLabel, IndexOrder
 from .diagram import (NodeStore, contract, evaluate, export_dot, generate,
                       relabel, tensor_product, to_dense)
 from .numerics import ToleranceConfig, format_weight, is_one
@@ -61,20 +62,13 @@ def _build(path, args, scheme=None):
     return circ, net, tdd
 
 
-def _verify_deviation(net, tdd):
-    labels = tuple(net.order.sort(net.open_labels()))
-    ref = network_to_dense([t.dense for t in net.tensors], labels, net.order)
-    got = to_dense(tdd, labels)
-    return float(np.max(np.abs(got.values - ref.values)))
-
-
 def _run_circuit(path, args, scheme=None, timeout_s=None, verify=False):
     """Parse, plan and build one circuit; returns its report.
 
     With verify, a circuit of at most VERIFY_MAX_QUBITS qubits is compared
     with the dense oracle; a larger one is left unverified (None). Running
-    past timeout_s gives a timed-out report, which still has the circuit's
-    size and plan.
+    past timeout_s gives a timed-out report, and running out of memory one
+    with an error; both still have the circuit's size and plan.
     """
     name = Path(path).stem
     circ, net, cfg, plan = _plan(path, args, scheme)
@@ -84,10 +78,15 @@ def _run_circuit(path, args, scheme=None, timeout_s=None, verify=False):
         tdd, stats = execute_plan(plan, store, deadline)
     except PlanTimeout:
         return _report(name, circ, cfg, plan, None, timeout_s=timeout_s, timed_out=True)
+    except MemoryError:
+        # the store goes with this frame and is not swept: a node append cut
+        # short can leave its parallel lists misaligned
+        return _report(name, circ, cfg, plan, None, error="out of memory building the diagram")
     verified = None
     max_dev = None
     if verify and circ.n_qubits <= VERIFY_MAX_QUBITS:
-        max_dev = _verify_deviation(net, tdd)
+        got = to_dense(tdd, net.order.sort(net.open_labels())).values
+        max_dev = float(np.max(np.abs(got - functionality_dense(net).values)))
         verified = max_dev <= args.norm_eps
     return _report(name, circ, cfg, plan, stats, verified=verified, max_deviation=max_dev)
 
@@ -100,7 +99,7 @@ def _report(name, circ, cfg, plan, stats, timeout_s=None, timed_out=False,
         "gates": len(circ.gates) if circ is not None else None,
         "scheme": cfg.scheme,
         "params": {"k": cfg.k, "k1": cfg.k1, "k2": cfg.k2,
-                   "horizontal_cut": cfg.horizontal_cut},
+                   "horizontal_cut": circ.n_qubits // 2 if circ is not None else None},
         "parts": len(plan.parts) if plan is not None else None,
         "elapsed_ms": None if stats is None else stats["elapsed_s"] * 1000.0,
         "time_s": (">%.2f" % timeout_s) if timed_out
@@ -134,6 +133,9 @@ def cmd_sim(args):
         _emit_json(report, args.json)
     if report["timed_out"]:
         print("timed out after %.2f s" % args.timeout_s, file=sys.stderr)
+        return 1
+    if "error" in report:
+        print("error: %s" % report["error"], file=sys.stderr)
         return 1
     if not args.json:
         print("circuit: %s (%d qubits, %d gates)"
@@ -337,6 +339,9 @@ def main(argv=None):
     except (CliError, QasmError, PlanError, OSError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
+    except MemoryError:
+        print("error: out of memory", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

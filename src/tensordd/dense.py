@@ -57,9 +57,6 @@ class IndexOrder:
         q = key >> POSITION_BITS
         return IndexLabel(-q if self.inverse else q, key - (q << POSITION_BITS))
 
-    def precedes(self, a, b):
-        return self.key(a) < self.key(b)
-
     def sort(self, labels):
         return sorted(labels, key=self.key)
 

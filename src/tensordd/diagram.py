@@ -247,20 +247,15 @@ class NodeStore:
 
 @dataclass
 class Tdd:
-    """A root edge into a store plus the labels the tensor is over.
+    """A root edge into a store plus the set of labels the tensor is over.
 
-    multiplicity counts tensor slots per label; a label occurring more than
-    once marks a hyper edge (one decision level shared by several wire
-    connections).
+    A label names one decision level, however many wire connections share it
+    (a hyper edge).
     """
 
     store: NodeStore
     root: Edge
-    multiplicity: dict
-
-    @property
-    def labels(self):
-        return self.store.order.sort(self.multiplicity)
+    labels: frozenset
 
 
 def _check_pair(F, G):
@@ -268,14 +263,12 @@ def _check_pair(F, G):
         raise StoreError("operands live in different stores")
 
 
-def generate(store, phi, multiplicity=None):
+def generate(store, phi):
     """Reduced diagram of a dense tensor whose indices are sorted for the store."""
     idx = list(phi.indices)
     if idx != store.order.sort(idx):
         raise StoreError("tensor indices not sorted for this store's order")
-    root = _gen(store, phi)
-    mult = dict(multiplicity) if multiplicity is not None else {x: 1 for x in idx}
-    return Tdd(store, root, mult)
+    return Tdd(store, _gen(store, phi), frozenset(idx))
 
 
 def _gen(store, phi):
@@ -341,10 +334,7 @@ def _add(store, wa, ta, wb, tb):
 def add(F, G):
     """Pointwise sum; operands must share one store."""
     _check_pair(F, G)
-    mult = dict(F.multiplicity)
-    for lab, m in G.multiplicity.items():
-        mult[lab] = max(mult.get(lab, 0), m)
-    return Tdd(F.store, _add(F.store, *F.root, *G.root), mult)
+    return Tdd(F.store, _add(F.store, *F.root, *G.root), F.labels | G.labels)
 
 
 def _cont(store, wf, tf, wg, tg, var):
@@ -406,12 +396,7 @@ def contract(F, G, var):
     store = F.store
     var = set(var)
     root = _cont(store, *F.root, *G.root, tuple(sorted(map(store.order.key, var))))
-    mult = {}
-    for src in (F.multiplicity, G.multiplicity):
-        for lab, m in src.items():
-            if lab not in var:
-                mult[lab] = mult.get(lab, 0) + m
-    return Tdd(store, root, mult)
+    return Tdd(store, root, (F.labels | G.labels) - var)
 
 
 def tensor_product(F, G):
@@ -444,7 +429,7 @@ def evaluate(F, assignment):
 
 def to_dense(F, indices=None):
     """Evaluate F on every assignment of the given (or its own) label list."""
-    labs = list(indices) if indices is not None else F.labels
+    labs = list(indices) if indices is not None else F.store.order.sort(F.labels)
     if len(labs) > MAX_RANK:
         raise ValueError("rank %d exceeds the dense cap" % len(labs))
     vals = np.empty((2,) * len(labs), dtype=complex)
@@ -515,7 +500,7 @@ def relabel(F, mapping):
     store = F.store
     okey = store.order.key
     levels = {okey(a): okey(b) for a, b in mapping.items()}
-    old = sorted(set(map(okey, F.multiplicity))
+    old = sorted(set(map(okey, F.labels))
                  | {store.level[t] for t in reachable(store, [F.root.target])})
     mapped = [levels.get(k, k) for k in old]
     if mapped != sorted(set(mapped)):
@@ -535,8 +520,7 @@ def relabel(F, mapping):
     e = rb(F.root.target)
     w = e.weight * F.root.weight
     root = _ZERO_EDGE if is_zero(w, store.cfg) else Edge(w, e.target)
-    mult = {mapping.get(l, l): m for l, m in F.multiplicity.items()}
-    return Tdd(store, root, mult)
+    return Tdd(store, root, frozenset(mapping.get(l, l) for l in F.labels))
 
 
 def audit(store):

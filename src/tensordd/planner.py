@@ -28,13 +28,11 @@ class PartitionConfig:
     k: int = None
     k1: int = None
     k2: int = None
-    horizontal_cut: int = None
 
     def resolve(self, n_qubits):
         """Fill in the qubit-count-dependent defaults and validate."""
         if self.scheme not in (SEQUENTIAL, SCHEME1, SCHEME2):
             raise PlanError("unknown scheme %r" % (self.scheme,))
-        cut = self.horizontal_cut if self.horizontal_cut is not None else n_qubits // 2
         k = self.k if self.k is not None else max(1, n_qubits // 2)
         k1 = self.k1 if self.k1 is not None else max(1, n_qubits // 2)
         k2 = self.k2 if self.k2 is not None else max(2, n_qubits // 2 + 1)
@@ -42,9 +40,9 @@ class PartitionConfig:
             raise PlanError("k and k1 must be at least 1")
         if k2 < 2:
             raise PlanError("k2 must be at least 2")
-        if self.scheme != SEQUENTIAL and not 0 < cut < n_qubits:
-            raise PlanError("horizontal cut %d leaves an empty half" % cut)
-        return replace(self, k=k, k1=k1, k2=k2, horizontal_cut=cut)
+        if self.scheme != SEQUENTIAL and n_qubits < 2:
+            raise PlanError("horizontal cut %d leaves an empty half" % (n_qubits // 2))
+        return replace(self, k=k, k1=k1, k2=k2)
 
 
 @dataclass
@@ -56,89 +54,58 @@ class Part:
     items: list   # (gate position, role) with role in {'whole', 'copy', 'xor'},
                   # folded in list order
 
-    @property
-    def gate_indices(self):
-        return tuple(p for p, _ in self.items)
 
+def partition(circ, cfg):
+    """Cut the circuit into parts under cfg's scheme.
 
-def _crossing(gate, cut):
-    tops = [q < cut for q in gate.qubits]
-    return any(tops) and not all(tops)
-
-
-def partition_sequential(circ):
-    return [Part("A", 0, [(i, "whole") for i in range(len(circ.gates))])]
-
-
-def partition_scheme1(circ, cfg):
-    """Horizontal middle cut plus a vertical cut before every (k+1)-th crossing CX."""
+    seq gives one part. p1 and p2 cut the qubits at n // 2 into a top half A
+    and a bottom half B. A CX crossing the cut is split, up to a budget per
+    vertical segment, into a copy half on its control's side and an xor half
+    on its target's side; any other crossing gate stays whole on the side of
+    its last wire. At the budget (k for p1, k1 for p2), p1 closes the segment,
+    while p2 puts the crossing CX whole into a middle block C, which also
+    takes every later gate on C's qubits, and closes the segment once C spans
+    k2 qubits.
+    """
     cfg = cfg.resolve(circ.n_qubits)
-    cut = cfg.horizontal_cut
-    segments = [{"A": [], "B": []}]
-    count = 0
-    for i, g in enumerate(circ.gates):
-        if g.kind == "cx" and _crossing(g, cut):
-            if count == cfg.k:
-                segments.append({"A": [], "B": []})
-                count = 0
-            count += 1
-            cside = "A" if g.qubits[0] < cut else "B"
-            tside = "B" if cside == "A" else "A"
-            segments[-1][cside].append((i, "copy"))
-            segments[-1][tside].append((i, "xor"))
-        elif _crossing(g, cut):
-            # non-CX crossing gates are kept whole on the side of their last wire
-            side = "A" if g.qubits[-1] < cut else "B"
-            segments[-1][side].append((i, "whole"))
-        else:
-            side = "A" if g.qubits[0] < cut else "B"
-            segments[-1][side].append((i, "whole"))
-    return [Part(r, s, seg[r]) for s, seg in enumerate(segments) for r in ("A", "B")]
-
-
-def partition_scheme2(circ, cfg):
-    """Split the first k1 crossing CXs, then grow a middle block C; cut
-    vertically once C's qubit set reaches k2 qubits."""
-    cfg = cfg.resolve(circ.n_qubits)
-    cut = cfg.horizontal_cut
+    if cfg.scheme == SEQUENTIAL:
+        return [Part("A", 0, [(i, "whole") for i in range(len(circ.gates))])]
+    cut = circ.n_qubits // 2
+    budget = cfg.k if cfg.scheme == SCHEME1 else cfg.k1
     parts = []
     seg = {"A": [], "B": [], "C": []}
-    state = {"seg": 0, "cuts": 0, "c_qubits": set()}
+    splits = 0
+    c_qubits = set()
 
     def close():
-        nonlocal seg
-        for r in ("A", "B"):
-            parts.append(Part(r, state["seg"], seg[r]))
-        if seg["C"]:
-            parts.append(Part("C", state["seg"], seg["C"]))
-        seg = {"A": [], "B": [], "C": []}
-        state["seg"] += 1
-        state["cuts"] = 0
-        state["c_qubits"] = set()
+        nonlocal splits
+        segment = parts[-1].segment + 1 if parts else 0
+        parts.extend(Part(r, segment, seg[r]) for r in "ABC" if r != "C" or seg[r])
+        seg.update(A=[], B=[], C=[])
+        c_qubits.clear()
+        splits = 0
 
     for i, g in enumerate(circ.gates):
-        if state["c_qubits"] and set(g.qubits) <= state["c_qubits"]:
+        if c_qubits and c_qubits.issuperset(g.qubits):
             seg["C"].append((i, "whole"))
             continue
-        if g.kind == "cx" and _crossing(g, cut):
-            if state["cuts"] < cfg.k1:
-                state["cuts"] += 1
-                cside = "A" if g.qubits[0] < cut else "B"
-                tside = "B" if cside == "A" else "A"
-                seg[cside].append((i, "copy"))
-                seg[tside].append((i, "xor"))
+        tops = [q < cut for q in g.qubits]
+        if g.kind == "cx" and any(tops) and not all(tops):
+            if splits == budget and cfg.scheme == SCHEME1:
+                close()
+            if splits < budget:
+                splits += 1
+                seg["A"].append((i, "copy" if tops[0] else "xor"))
+                seg["B"].append((i, "xor" if tops[0] else "copy"))
             else:
                 seg["C"].append((i, "whole"))
-                state["c_qubits"] |= set(g.qubits)
-                if len(state["c_qubits"]) >= cfg.k2:
+                c_qubits.update(g.qubits)
+                if len(c_qubits) >= cfg.k2:
                     close()
-            continue
-        if _crossing(g, cut):
-            side = "A" if g.qubits[-1] < cut else "B"
         else:
-            side = "A" if g.qubits[0] < cut else "B"
-        seg[side].append((i, "whole"))
-    if seg["A"] or seg["B"] or seg["C"] or state["seg"] == 0:
+            # a crossing gate goes with its last wire, any other with all of them
+            seg["A" if tops[-1] else "B"].append((i, "whole"))
+    if seg["A"] or seg["B"] or seg["C"] or not parts:
         close()
     return parts
 
@@ -159,22 +126,11 @@ def partition_miter(n_a, n_b):
     return [Part("M", 0, items)]
 
 
-def partition(circ, cfg):
-    cfg = cfg.resolve(circ.n_qubits)
-    if cfg.scheme == SEQUENTIAL:
-        return partition_sequential(circ)
-    if cfg.scheme == SCHEME1:
-        return partition_scheme1(circ, cfg)
-    return partition_scheme2(circ, cfg)
-
-
 @dataclass
 class PlanLeaf:
-    pos: int
-    tag: str
     dense: object    # DenseTensor; the constant 1 for a copy half
-    exec_mult: dict
-    plain: tuple
+    exec_mult: dict  # slot count per label of the executed network
+    plain: tuple     # labels in the plain network, for the step ranks
 
 
 @dataclass
@@ -188,12 +144,9 @@ class PlanNode:
 
 @dataclass
 class Plan:
-    net: object
-    config: object
     parts: list
     root: object   # PlanLeaf, PlanNode, or None for an empty circuit
     steps: list    # PlanNodes in execution (postorder) order
-    open_exec: tuple
 
 
 def _plain_walk(circ):
@@ -216,23 +169,22 @@ def _leaf(net, per_gate, pos, role):
     g = gt.gate
     if role == "whole":
         plain = tuple(l for q in g.qubits for l in per_gate[pos][q])
-        return PlanLeaf(pos, "%s@%d" % (g.kind, pos), gt.dense, dict(gt.mult), plain)
+        return PlanLeaf(gt.dense, dict(gt.mult), plain)
     # split CX: the copy half keeps the control wire and carries the constant
     # 1 (the control label just extends across the cut); the xor half carries
     # the whole gate tensor on the target side
     bond = ("bond", pos)
     if role == "copy":
         plain = per_gate[pos][g.qubits[0]] + (bond,)
-        return PlanLeaf(pos, "copy@%d" % pos, DenseTensor.constant(1), {}, plain)
+        return PlanLeaf(DenseTensor.constant(1), {}, plain)
     plain = per_gate[pos][g.qubits[1]] + (bond,)
-    return PlanLeaf(pos, "xor@%d" % pos, gt.dense, dict(gt.mult), plain)
+    return PlanLeaf(gt.dense, dict(gt.mult), plain)
 
 
-def plan_from_parts(net, parts, config=None):
+def plan_from_parts(net, parts):
     """Build the contraction tree: per-part left fold in item order, then
     A*B(*C) per segment, then a left fold over segments."""
-    circ = net.circuit
-    per_gate, plain_boundary = _plain_walk(circ)
+    per_gate, plain_boundary = _plain_walk(net.circuit)
     exec_boundary = net.open_labels()
 
     part_leaves = [[_leaf(net, per_gate, p, role) for p, role in part.items]
@@ -280,37 +232,15 @@ def plan_from_parts(net, parts, config=None):
     seg_accs = [fold(by_segment[s], "S%d" % s) for s in sorted(by_segment)]
     total = fold(seg_accs, "join")
 
-    if total is None:
-        root, open_exec = None, ()
-    else:
-        root, counts, _ = total
-        open_exec = tuple(net.order.sort(counts))
     summed = Counter(l for node in steps for l in node.var)
     expected = set(exec_total) - exec_boundary
     if set(summed) != expected or any(c != 1 for c in summed.values()):
         raise PlanError("label accounting mismatch between plan steps and circuit")
-    return Plan(net, config, parts, root, steps, open_exec)
+    return Plan(parts, None if total is None else total[0], steps)
 
 
 def plan_circuit(net, cfg=None):
-    cfg = (cfg if cfg is not None else PartitionConfig()).resolve(net.circuit.n_qubits)
-    return plan_from_parts(net, partition(net.circuit, cfg), cfg)
-
-
-def plan_stats(plan):
-    """Histogram of (m, n, r) step triples, without executing anything."""
-    return Counter(node.mnr for node in plan.steps)
-
-
-def plan_to_json(plan):
-    cfg = plan.config
-    return {
-        "scheme": cfg.scheme if cfg is not None else None,
-        "parts": [{"region": p.region, "segment": p.segment,
-                   "gates": list(p.gate_indices)} for p in plan.parts],
-        "steps": [{"tag": n.tag, "m": n.mnr[0], "n": n.mnr[1], "r": n.mnr[2],
-                   "var": len(n.var)} for n in plan.steps],
-    }
+    return plan_from_parts(net, partition(net.circuit, cfg if cfg is not None else PartitionConfig()))
 
 
 def execute_plan(plan, store, deadline=None):
@@ -370,11 +300,11 @@ def _execute(plan, store, deadline, base):
         return value
 
     def leaf_value(leaf):
-        return generate(store, leaf.dense, dict(leaf.exec_mult))
+        return generate(store, leaf.dense)
 
     step_log = []
     if plan.root is None:
-        result = Tdd(store, store.terminal_edge(1.0), {})
+        result = Tdd(store, store.terminal_edge(1.0), frozenset())
     elif isinstance(plan.root, PlanLeaf):
         result = leaf_value(plan.root)
         peak = size(result)

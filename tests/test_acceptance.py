@@ -25,7 +25,7 @@ from tensordd.dense import DenseTensor, IndexLabel, IndexOrder
 from tensordd.diagram import (NodeStore, Tdd, add, audit, contract,
                               generate, reachable, size, to_dense)
 from tensordd.numerics import canonical, weights_equal
-from tensordd.planner import PartitionConfig, execute_plan, plan_circuit, plan_stats
+from tensordd.planner import PartitionConfig, execute_plan, plan_circuit
 
 from util import random_circuit, random_circuit_text
 
@@ -95,13 +95,13 @@ def test_rule_level_invariants():
         for gt in net.tensors:
             remaining.update(gt.mult)
         open_labels = net.open_labels()
-        acc = Tdd(store, store.terminal_edge(1.0), {})
+        acc = Tdd(store, store.terminal_edge(1.0), frozenset())
         for gt in net.tensors:
-            F = generate(store, gt.dense, gt.mult)
+            F = generate(store, gt.dense)
             assert not audit(store)
             for lab, m in gt.mult.items():
                 remaining[lab] -= m
-            var = {lab for lab in set(acc.multiplicity) | set(gt.mult)
+            var = {lab for lab in acc.labels | F.labels
                    if lab not in open_labels and remaining[lab] == 0}
             acc = contract(acc, F, var)
             assert not audit(store)
@@ -127,7 +127,7 @@ def test_structural_examples():
 
     net = allocate_indices(parse_qasm("OPENQASM 2.0;\nqreg q[2];\ncx q[0],q[1];"))
     gt = net.tensors[0]
-    cnot = generate(NodeStore(net.order), gt.dense, gt.mult)
+    cnot = generate(NodeStore(net.order), gt.dense)
     assert gt.dense.rank == 3          # the control wire is one shared hyper label
     assert size(cnot) == 5
     assert 1 + 2 * size(cnot) == 11
@@ -155,7 +155,7 @@ def test_partition_fidelity():
 
     def shape(scheme, **kw):
         plan = plan_circuit(net, PartitionConfig(scheme, **kw))
-        hist = plan_stats(plan)
+        hist = Counter(n.mnr for n in plan.steps)
         small = sum(c for (m, n, r), c in hist.items() if m <= 4 and n <= 4)
         big = {k: v for k, v in hist.items() if not (k[0] <= 4 and k[1] <= 4)}
         return len(plan.parts), big, small

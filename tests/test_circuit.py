@@ -10,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 from tensordd.circuit import (
     GATE_PARAMS,
     GATE_QUBITS,
+    MAX_BYTES,
     MAX_GATES,
     MAX_QUBITS,
     Circuit,
@@ -22,6 +23,7 @@ from tensordd.circuit import (
     gate_matrix,
     inverse_gate,
     parse_qasm,
+    parse_qasm_file,
     unitary_as_dense,
 )
 from tensordd.dense import IndexLabel
@@ -104,6 +106,19 @@ def test_parse_qreg_at_cap():
 def test_parse_gates_at_cap():
     circ = parse_qasm(HEADER + "cx q[0],q[1];\n" * MAX_GATES)
     assert len(circ.gates) == MAX_GATES
+
+
+def test_parse_file_at_byte_cap(tmp_path):
+    # a long comment fills the file to the cap without making the parse slow
+    text = HEADER + "h q[0];\n//"
+    path = tmp_path / "cap.qasm"
+    path.write_text(text + "x" * (MAX_BYTES - len(text)))
+    assert path.stat().st_size == MAX_BYTES
+    assert len(parse_qasm_file(path).gates) == 1
+    with open(path, "a") as fh:
+        fh.write("x")
+    with pytest.raises(QasmError, match="larger than"):
+        parse_qasm_file(path)
 
 
 def test_parse_param_grammar():

@@ -9,6 +9,7 @@ import pytest
 from tensordd import circuit
 from tensordd.circuit import MAX_QUBITS, circuit_unitary, parse_qasm
 from tensordd.cli import build_parser, equivalent, main
+from tensordd.diagram import NodeStore
 
 from util import random_circuit_text
 
@@ -17,8 +18,9 @@ DEMO = "circuits/partition_demo.qasm"
 
 
 def write(tmp_path, name, body):
+    """A 1-qubit file; a surrogate escape in body writes that raw byte."""
     p = tmp_path / name
-    p.write_text("OPENQASM 2.0;\nqreg q[1];\n" + body)
+    p.write_bytes(("OPENQASM 2.0;\nqreg q[1];\n" + body).encode("utf-8", "surrogateescape"))
     return str(p)
 
 
@@ -222,6 +224,45 @@ def test_bench_records_unpartitionable_file(tmp_path, capsys):
         assert not out.exists()
 
 
+def out_of_memory_after(monkeypatch, n_nodes):
+    """Every store raises MemoryError once it has made n_nodes nodes."""
+    real = NodeStore.make_level_node
+
+    def make_level_node(self, *args):
+        if len(self.level) > n_nodes:
+            raise MemoryError
+        return real(self, *args)
+
+    monkeypatch.setattr(NodeStore, "make_level_node", make_level_node)
+
+
+def test_out_of_memory_is_a_clear_error(tmp_path, capsys, monkeypatch):
+    # the demo's build makes about 170 nodes, one H gate two
+    out_of_memory_after(monkeypatch, 50)
+    dest = tmp_path / "report.json"
+    assert main(["sim", DEMO, "--scheme", "p1", "--json", str(dest)]) == 1
+    report = json.loads(dest.read_text())
+    assert report["error"] == "out of memory building the diagram"
+    assert (report["n_qubits"], report["gates"], report["parts"]) == (4, 17, 2)
+    assert report["final_nodes"] is None and not report["timed_out"]
+    assert capsys.readouterr().err.strip() == "error: out of memory building the diagram"
+
+    # bench records the row and goes on with the next file
+    sub = tmp_path / "circs"
+    sub.mkdir()
+    (sub / "a.qasm").write_text(open(DEMO).read())
+    (sub / "b.qasm").write_text("OPENQASM 2.0;\nqreg q[2];\nh q[0];")
+    assert main(["bench", str(sub), "--json", str(dest)]) == 0
+    rows = json.loads(dest.read_text())
+    assert [r["circuit"] for r in rows] == ["a"] * 3 + ["b"] * 3
+    assert all(r["error"] == report["error"] and r["final_nodes"] is None for r in rows[:3])
+    assert all("error" not in r and r["final_nodes"] == 2 for r in rows[3:])
+
+    # any other command: one line, exit 1
+    assert main(["equiv", DEMO, DEMO]) == 1
+    assert capsys.readouterr().err.strip() == "error: out of memory"
+
+
 def test_verify_above_10_qubits(tmp_path, capsys):
     # sim refuses to verify such a circuit; bench leaves it unverified
     sub = tmp_path / "circs"
@@ -253,15 +294,18 @@ def test_bad_qasm_is_error(tmp_path, capsys):
     assert main(["sim", str(p)]) == 2
 
 
-# the table runs under this gate cap, so the over-the-cap file stays small;
-# every other row has fewer gates
+# the table runs under these caps, so the over-the-cap files stay small;
+# every other row has fewer gates and bytes
 SMALL_GATE_CAP = 4
+SMALL_BYTE_CAP = 200
 
 # (case, gate lines of a 1-qubit file, a whole file, or None for a missing
 # file, extra options)
 MALFORMED = [
     ("qreg over the cap", "OPENQASM 2.0;\nqreg q[%d];" % (MAX_QUBITS + 1), []),
     ("gates over the cap", "h q[0];\n" * (SMALL_GATE_CAP + 1), []),
+    ("bytes over the cap", "h q[0];\n//" + "x" * SMALL_BYTE_CAP, []),
+    ("not UTF-8", "h q[0]; // \udcff", []),
     ("infinite angle", "rx(1e999) q[0];", []),
     ("power in angle", "rx(2**10) q[0];", []),
     ("unknown gate", "warp q[0];", []),
@@ -277,6 +321,7 @@ MALFORMED = [
 @pytest.mark.parametrize("case,body,extra", MALFORMED, ids=[c[0] for c in MALFORMED])
 def test_malformed_input_exits_2(tmp_path, capsys, monkeypatch, command, case, body, extra):
     monkeypatch.setattr(circuit, "MAX_GATES", SMALL_GATE_CAP)
+    monkeypatch.setattr(circuit, "MAX_BYTES", SMALL_BYTE_CAP)
     path = str(tmp_path / "bad.qasm")
     if body is not None and body.startswith("OPENQASM"):
         (tmp_path / "bad.qasm").write_text(body)

@@ -256,7 +256,7 @@ def _phase_chain(store, depth, last):
     for x in reversed(labels):
         phase = last if x is labels[-1] else 1e-3
         w, t = store.make_level_node(store.order.key(x), w, t, w * cmath.exp(1j * phase), t)
-    return Tdd(store, Edge(w, t), {x: 1 for x in labels})
+    return Tdd(store, Edge(w, t), frozenset(labels))
 
 
 def test_deep_chain_add_and_contract():
@@ -276,8 +276,8 @@ def test_deep_chain_add_and_contract():
     finally:
         sys.setrecursionlimit(old)
     assert size(F) == size(S) == size(P) == depth
-    zeros = dict.fromkeys(F.multiplicity, 0)
-    ones = dict.fromkeys(F.multiplicity, 1)
+    zeros = dict.fromkeys(F.labels, 0)
+    ones = dict.fromkeys(F.labels, 1)
     f1, g1 = cmath.exp(2j), cmath.exp(2.499j)
     assert abs(evaluate(S, zeros) - 2) < 1e-9
     assert abs(evaluate(S, ones) - (f1 + g1)) < 1e-9
@@ -336,7 +336,7 @@ def test_contract_matches_dense(seed):
     H = contract(F, G, var)
     want = contract_dense(pf, pg, var)
     assert_matches(H, want, tol=1e-8)
-    assert set(H.multiplicity) == set(want.indices)
+    assert H.labels == set(want.indices)
     assert not audit(store)
 
 

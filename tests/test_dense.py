@@ -26,7 +26,7 @@ def test_order_natural_and_inverse():
     labs = [IndexLabel(1, 0), IndexLabel(0, 1), IndexLabel(0, 0)]
     assert IndexOrder().sort(labs) == [IndexLabel(0, 0), IndexLabel(0, 1), IndexLabel(1, 0)]
     assert IndexOrder(inverse=True).sort(labs) == [IndexLabel(1, 0), IndexLabel(0, 0), IndexLabel(0, 1)]
-    assert IndexOrder().precedes(A, B)
+    assert IndexOrder().key(A) < IndexOrder().key(B)
     # key() is one integer that sorts like (qubit, position), qubit scan
     # reversed under inverse, up to the comparison grid's output position
     labs = [IndexLabel(q, p) for q in range(4) for p in (0, 1, 7, SPLIT_POS, 2 ** 32 - 1)]
