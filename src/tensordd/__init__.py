@@ -1,6 +1,6 @@
 """Canonical decision-diagram representation of tensors over Boolean indices."""
 
-from .circuit import (Circuit, CircuitNet, Gate, GateTensor, QasmError,
+from .circuit import (Circuit, CircuitNet, Gate, QasmError,
                       allocate_indices, circuit_unitary, gate_matrix, parse_qasm,
                       parse_qasm_file)
 from .dense import (NATURAL_ORDER, DenseTensor, IndexLabel, IndexOrder,

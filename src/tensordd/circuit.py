@@ -275,22 +275,12 @@ def diagonal_wires(gate):
 
 
 @dataclass
-class GateTensor:
-    """One gate as a labeled tensor over distinct, order-sorted labels."""
-
-    gate: Gate
-    dense: DenseTensor
-    mult: dict
-    wires: tuple  # per listed qubit: (in_label, out_label); equal on a hyper wire
-
-
-@dataclass
 class CircuitNet:
     """A circuit's gate tensors plus the wire-boundary bookkeeping."""
 
     circuit: Circuit
     order: IndexOrder
-    tensors: list
+    tensors: list   # DenseTensor of circuit.gates[i], over its order-sorted labels
     in_label: dict
     out_label: dict
 
@@ -348,12 +338,7 @@ def allocate_indices(circ, order=None):
             else:
                 pos[q] += 1
                 wires.append((lin, IndexLabel(q, pos[q])))
-        mult = {}
-        for lin, lout in wires:
-            mult[lin] = mult.get(lin, 0) + 1
-            mult[lout] = mult.get(lout, 0) + 1
-        U = gate_matrix(gate.kind, gate.params)
-        tensors.append(GateTensor(gate, _matrix_dense(U, wires, order), mult, tuple(wires)))
+        tensors.append(_matrix_dense(gate_matrix(gate.kind, gate.params), wires, order))
     in_label = {q: IndexLabel(q, 0) for q in range(circ.n_qubits)}
     out_label = {q: IndexLabel(q, pos[q]) for q in range(circ.n_qubits)}
     return CircuitNet(circ, order, tensors, in_label, out_label)
@@ -397,7 +382,7 @@ def circuit_unitary(circ):
 
 def functionality_dense(net):
     """Oracle functionality tensor over the net's open labels."""
-    return network_to_dense([t.dense for t in net.tensors], net.open_labels(), net.order)
+    return network_to_dense(net.tensors, net.open_labels(), net.order)
 
 
 def unitary_as_dense(circ, net):

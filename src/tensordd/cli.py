@@ -56,12 +56,6 @@ def _plan(path, args, scheme=None):
     return circ, net, cfg, plan_circuit(net, cfg)
 
 
-def _build(path, args, scheme=None):
-    circ, net, cfg, plan = _plan(path, args, scheme)
-    tdd, _ = execute_plan(plan, NodeStore(net.order, _tolerance(args)))
-    return circ, net, tdd
-
-
 def _run_circuit(path, args, scheme=None, timeout_s=None, verify=False):
     """Parse, plan and build one circuit; returns its report.
 
@@ -165,9 +159,10 @@ def amplitude(net, tdd, in_bits, out_bits):
 
 
 def cmd_amp(args):
-    circ, net, tdd = _build(args.file, args)
+    circ, net, _, plan = _plan(args.file, args)
     in_bits = _parse_bits(args.in_bits, circ.n_qubits, "input bitstring")
     out_bits = _parse_bits(args.out_bits, circ.n_qubits, "output bitstring")
+    tdd, _ = execute_plan(plan, NodeStore(net.order, _tolerance(args)))
     a = amplitude(net, tdd, in_bits, out_bits)
     print(format_weight(a))
     return 0
@@ -235,7 +230,8 @@ def cmd_equiv(args):
 
 
 def cmd_dot(args):
-    _, _, tdd = _build(args.file, args, scheme="seq")
+    net = allocate_indices(parse_qasm_file(args.file), _order(args))
+    tdd, _ = execute_plan(plan_circuit(net), NodeStore(net.order, _tolerance(args)))
     Path(args.out).write_text(export_dot(tdd))
     return 0
 
@@ -261,15 +257,18 @@ def cmd_bench(args):
     return 0
 
 
-def _add_common(sp, scheme=True, equiv=False):
-    """Options shared by the commands; equiv=True marks the partition
-    options as accepted but ignored (equiv plans its own miter)."""
+def _add_common(sp, partition=True, scheme=True, equiv=False):
+    """Options shared by the commands: index order and tolerances, then the
+    partition options unless partition=False; equiv=True marks those as
+    accepted but ignored (equiv plans its own miter)."""
     sp.add_argument("--inverse-order", action="store_true",
                     help="reverse the qubit-major index order")
     sp.add_argument("--eps", type=float, default=1e-10,
                     help="weight canonicalization grid (default 1e-10)")
     sp.add_argument("--norm-eps", type=float, default=1e-9,
                     help="comparison tolerance (default 1e-9)")
+    if not partition:
+        return
     note = "; accepted but not used by equiv" if equiv else ""
     if scheme:
         sp.add_argument("--scheme", choices=["seq", "p1", "p2"], default="seq",
@@ -316,7 +315,7 @@ def build_parser():
     sp = sub.add_parser("dot", help="export a circuit's diagram as Graphviz DOT")
     sp.add_argument("file")
     sp.add_argument("out")
-    _add_common(sp, scheme=False)
+    _add_common(sp, partition=False)
     sp.set_defaults(func=cmd_dot)
 
     sp = sub.add_parser("bench", help="run every .qasm in a directory, JSON report")

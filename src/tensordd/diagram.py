@@ -72,6 +72,11 @@ class DeadlineExceeded(RuntimeError):
 # make_level_node reads the clock when a new node id is a multiple of this
 DEADLINE_CHECK_IDS = 1 << 14
 
+# a plan sweeps between steps above store.gc_limit live nodes, which starts
+# here and which a sweep may raise; a computed cache is cleared above CACHE_LIMIT
+GC_LIMIT = 1_000_000
+CACHE_LIMIT = 2_000_000
+
 
 class NodeStore:
     """Owns the nodes, the unique table, the computed caches and the index order.
@@ -89,7 +94,7 @@ class NodeStore:
     store stays sound for the caller that catches the error.
     """
 
-    def __init__(self, order=None, cfg=None, gc_limit=1_000_000, cache_limit=2_000_000):
+    def __init__(self, order=None, cfg=None):
         self.order = order if order is not None else IndexOrder()
         self.cfg = cfg if cfg is not None else DEFAULT_TOLERANCE
         self.level, self.w0, self.t0, self.w1, self.t1 = [math.inf], [None], [None], [None], [None]
@@ -100,8 +105,7 @@ class NodeStore:
         self.cache_hits_add = 0
         self.cache_hits_cont = 0
         self.peak_nodes = 0
-        self.gc_limit = gc_limit
-        self.cache_limit = cache_limit
+        self.gc_limit = GC_LIMIT
         self.gc_runs = 0
         self.deadline = None
         eps = self.cfg.eps
@@ -322,7 +326,7 @@ def _add(store, wa, ta, wb, tb):
         hw, ht = _add(store, a1w, a1t, b1w, b1t)
         res = store.make_level_node(x, lw, lt, hw, ht)
         store.add_cache[key] = res
-        if len(store.add_cache) > store.cache_limit:
+        if len(store.add_cache) > CACHE_LIMIT:
             store.add_cache.clear()
     w = res[0] * wa
     if -half <= w.real <= half and -half <= w.imag <= half:
@@ -381,7 +385,7 @@ def _cont(store, wf, tf, wg, tg, var):
             res = store.make_level_node(x, lw, lt, hw, ht)
         store.cont_cache[key] = res
         # memoization only: dropping entries costs recomputation, never accuracy
-        if len(store.cont_cache) > store.cache_limit:
+        if len(store.cont_cache) > CACHE_LIMIT:
             store.cont_cache.clear()
     w = res[0] * scale
     if -half <= w.real <= half and -half <= w.imag <= half:

@@ -7,7 +7,7 @@ from collections import Counter
 from dataclasses import dataclass, replace
 
 from .dense import DenseTensor
-from .diagram import DeadlineExceeded, Tdd, contract, generate, reachable, size, tensor_product
+from .diagram import DeadlineExceeded, contract, generate, reachable, size, tensor_product
 
 SEQUENTIAL = "seq"
 SCHEME1 = "p1"
@@ -127,15 +127,8 @@ def partition_miter(n_a, n_b):
 
 
 @dataclass
-class PlanLeaf:
-    dense: object    # DenseTensor; the constant 1 for a copy half
-    exec_mult: dict  # slot count per label of the executed network
-    plain: tuple     # labels in the plain network, for the step ranks
-
-
-@dataclass
 class PlanNode:
-    left: object
+    left: object   # a leaf (the DenseTensor it generates) or an earlier PlanNode
     right: object
     var: tuple   # labels summed out at this step
     mnr: tuple   # plain ranks (left, right, common)
@@ -145,7 +138,7 @@ class PlanNode:
 @dataclass
 class Plan:
     parts: list
-    root: object   # PlanLeaf, PlanNode, or None for an empty circuit
+    root: object   # PlanNode, or the one leaf (the constant 1 for an empty circuit)
     steps: list    # PlanNodes in execution (postorder) order
 
 
@@ -165,20 +158,17 @@ def _plain_walk(circ):
 
 
 def _leaf(net, per_gate, pos, role):
-    gt = net.tensors[pos]
-    g = gt.gate
+    """A part item's leaf tensor and its labels in the plain network."""
+    g = net.circuit.gates[pos]
     if role == "whole":
-        plain = tuple(l for q in g.qubits for l in per_gate[pos][q])
-        return PlanLeaf(gt.dense, dict(gt.mult), plain)
+        return net.tensors[pos], tuple(l for q in g.qubits for l in per_gate[pos][q])
     # split CX: the copy half keeps the control wire and carries the constant
     # 1 (the control label just extends across the cut); the xor half carries
     # the whole gate tensor on the target side
     bond = ("bond", pos)
     if role == "copy":
-        plain = per_gate[pos][g.qubits[0]] + (bond,)
-        return PlanLeaf(DenseTensor.constant(1), {}, plain)
-    plain = per_gate[pos][g.qubits[1]] + (bond,)
-    return PlanLeaf(gt.dense, dict(gt.mult), plain)
+        return DenseTensor.constant(1), per_gate[pos][g.qubits[0]] + (bond,)
+    return net.tensors[pos], per_gate[pos][g.qubits[1]] + (bond,)
 
 
 def plan_from_parts(net, parts):
@@ -189,12 +179,15 @@ def plan_from_parts(net, parts):
 
     part_leaves = [[_leaf(net, per_gate, p, role) for p, role in part.items]
                    for part in parts]
+    # per label, the number of leaves holding it in the executed network
+    # (their indices) and in the plain one; a label is summed at the merge
+    # where its last holder joins
     exec_total = Counter()
     plain_total = Counter()
     for leaves in part_leaves:
-        for leaf in leaves:
-            exec_total.update(leaf.exec_mult)
-            plain_total.update(leaf.plain)
+        for leaf, plain in leaves:
+            exec_total.update(leaf.indices)
+            plain_total.update(plain)
 
     steps = []
 
@@ -225,9 +218,9 @@ def plan_from_parts(net, parts):
         if not leaves:
             continue
         tag = "%s%d" % (part.region, part.segment)
-        acc = fold([(lf, open_counts(lf.exec_mult, exec_total, exec_boundary),
-                     open_counts(Counter(lf.plain), plain_total, plain_boundary))
-                    for lf in leaves], tag)
+        acc = fold([(lf, open_counts(Counter(lf.indices), exec_total, exec_boundary),
+                     open_counts(Counter(plain), plain_total, plain_boundary))
+                    for lf, plain in leaves], tag)
         by_segment.setdefault(part.segment, []).append(acc)
     seg_accs = [fold(by_segment[s], "S%d" % s) for s in sorted(by_segment)]
     total = fold(seg_accs, "join")
@@ -236,7 +229,7 @@ def plan_from_parts(net, parts):
     expected = set(exec_total) - exec_boundary
     if set(summed) != expected or any(c != 1 for c in summed.values()):
         raise PlanError("label accounting mismatch between plan steps and circuit")
-    return Plan(parts, None if total is None else total[0], steps)
+    return Plan(parts, DenseTensor.constant(1) if total is None else total[0], steps)
 
 
 def plan_circuit(net, cfg=None):
@@ -299,41 +292,34 @@ def _execute(plan, store, deadline, base):
                 del refs[t]
         return value
 
-    def leaf_value(leaf):
-        return generate(store, leaf.dense)
-
     step_log = []
-    if plan.root is None:
-        result = Tdd(store, store.terminal_edge(1.0), frozenset())
-    elif isinstance(plan.root, PlanLeaf):
-        result = leaf_value(plan.root)
-        peak = size(result)
-    else:
-        for node in plan.steps:
-            if deadline is not None and time.monotonic() > deadline:
-                raise DeadlineExceeded("plan deadline passed before step %s" % node.tag)
-            for side in (node.left, node.right):
-                if isinstance(side, PlanLeaf):
-                    put(id(side), leaf_value(side))
-            # sampled before each step only: the live set after a step is
-            # contained in the one before the next (only leaves join in
-            # between) or is the final result
-            peak = max(peak, len(refs))
-            lv = take(id(node.left))
-            rv = take(id(node.right))
-            if node.var:
-                res = contract(lv, rv, node.var)
-            else:
-                res = tensor_product(lv, rv)
-            step_log.append({"tag": node.tag, "m": node.mnr[0], "n": node.mnr[1],
-                             "r": node.mnr[2], "var": len(node.var),
-                             "nodes": put(id(node), res)})
-            # the store only grows during contraction; sweep dead nodes
-            # between steps so long runs stay within memory (anything that
-            # existed before this plan started is left alone)
-            if len(store.unique) > store.gc_limit:
-                store.collect([v.root.target for v, _ in live.values()], keep_below=base)
-        result = take(id(plan.root))
+    for node in plan.steps:
+        if deadline is not None and time.monotonic() > deadline:
+            raise DeadlineExceeded("plan deadline passed before step %s" % node.tag)
+        for side in (node.left, node.right):
+            if isinstance(side, DenseTensor):
+                put(id(side), generate(store, side))
+        # sampled before each step only: the live set after a step is
+        # contained in the one before the next (only leaves join in
+        # between) or is the final result
+        peak = max(peak, len(refs))
+        lv = take(id(node.left))
+        rv = take(id(node.right))
+        if node.var:
+            res = contract(lv, rv, node.var)
+        else:
+            res = tensor_product(lv, rv)
+        step_log.append({"tag": node.tag, "m": node.mnr[0], "n": node.mnr[1],
+                         "r": node.mnr[2], "var": len(node.var),
+                         "nodes": put(id(node), res)})
+        # the store only grows during contraction; sweep dead nodes
+        # between steps so long runs stay within memory (anything that
+        # existed before this plan started is left alone)
+        if len(store.unique) > store.gc_limit:
+            store.collect([v.root.target for v, _ in live.values()], keep_below=base)
+    if not plan.steps:
+        put(id(plan.root), generate(store, plan.root))
+    result = take(id(plan.root))
     final = size(result)
     stats = {
         "final_nodes": final,

@@ -92,15 +92,15 @@ def test_rule_level_invariants():
         net = allocate_indices(circ)
         store = NodeStore(net.order)
         remaining = Counter()
-        for gt in net.tensors:
-            remaining.update(gt.mult)
+        for t in net.tensors:
+            remaining.update(t.indices)
         open_labels = net.open_labels()
         acc = Tdd(store, store.terminal_edge(1.0), frozenset())
-        for gt in net.tensors:
-            F = generate(store, gt.dense)
+        for t in net.tensors:
+            F = generate(store, t)
             assert not audit(store)
-            for lab, m in gt.mult.items():
-                remaining[lab] -= m
+            for lab in t.indices:
+                remaining[lab] -= 1
             var = {lab for lab in acc.labels | F.labels
                    if lab not in open_labels and remaining[lab] == 0}
             acc = contract(acc, F, var)
@@ -126,9 +126,9 @@ def test_structural_examples():
     from tensordd.circuit import parse_qasm
 
     net = allocate_indices(parse_qasm("OPENQASM 2.0;\nqreg q[2];\ncx q[0],q[1];"))
-    gt = net.tensors[0]
-    cnot = generate(NodeStore(net.order), gt.dense)
-    assert gt.dense.rank == 3          # the control wire is one shared hyper label
+    t = net.tensors[0]
+    cnot = generate(NodeStore(net.order), t)
+    assert t.rank == 3          # the control wire is one shared hyper label
     assert size(cnot) == 5
     assert 1 + 2 * size(cnot) == 11
 

@@ -1,11 +1,11 @@
-"""The benchmark's traced run hooks into the library by name: every name it
-wraps must resolve, and the stats it folds must carry every key it reads.
-A store or planner change that breaks `perfbench/run.py --trace 1` fails here."""
+"""The benchmark hooks into the library by name: every name it wraps or
+calls must resolve, and the stats it folds must carry every key it reads.
+A store, planner or CLI change that breaks `perfbench/run.py` fails here."""
 
 import sys
 from pathlib import Path
 
-from tensordd import planner
+from tensordd import circuit, cli, diagram, planner
 from tensordd.circuit import allocate_indices, parse_qasm_file
 from tensordd.diagram import NodeStore
 
@@ -26,10 +26,20 @@ def test_wrapped_names_resolve():
         assert callable(getattr(owner, attr, None)), "%s.%s" % (owner.__name__, attr)
 
 
-def test_stats_carry_the_folded_keys():
+def test_untraced_names_resolve():
+    # what perfbench/workloads.py reads besides the wrapped names
+    for owner, attr in [(circuit, "unitary_as_dense"), (circuit.CircuitNet, "boundary_assignment"),
+                        (diagram, "to_dense"), (diagram, "evaluate")]:
+        assert callable(getattr(owner, attr, None)), "%s.%s" % (owner.__name__, attr)
+    args = cli.build_parser().parse_args(["equiv", DEMO, DEMO])
+    assert args.scheme == "seq"
+
+
+def test_stats_carry_the_folded_keys(monkeypatch):
+    monkeypatch.setattr(diagram, "GC_LIMIT", 50)
     net = allocate_indices(parse_qasm_file(DEMO))
     plan = planner.plan_circuit(net, planner.PartitionConfig("p1"))
-    store = NodeStore(net.order, gc_limit=50)
+    store = NodeStore(net.order)
     _, stats = planner.execute_plan(plan, store)
     assert PLAN_KEYS <= stats.keys()
     assert STORE_KEYS <= stats["store"].keys() == store.stats().keys()
@@ -37,7 +47,7 @@ def test_stats_carry_the_folded_keys():
     tracer = tracing.Tracer()
     with tracer.installed():
         tracer.job("demo", "p1",
-                   lambda: planner.execute_plan(plan, NodeStore(net.order, gc_limit=50)))
+                   lambda: planner.execute_plan(plan, NodeStore(net.order)))
     counts = tracer.counts
     assert counts["planner.steps"] == len(stats["steps"])
     assert counts["diagram.final_nodes_total"] == stats["final_nodes"]

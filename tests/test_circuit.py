@@ -224,12 +224,9 @@ def test_allocate_indices_positions():
     assert net.out_label[0] == IndexLabel(0, 2)
     assert net.out_label[1] == IndexLabel(1, 1)
     assert net.out_label[2] == IndexLabel(2, 0)   # untouched wire
-    t_tensor = net.tensors[1]
-    assert t_tensor.wires == ((IndexLabel(0, 1), IndexLabel(0, 1)),)
-    assert t_tensor.mult == {IndexLabel(0, 1): 2}  # hyper edge
-    cx_tensor = net.tensors[2]
-    assert cx_tensor.wires[0][0] == cx_tensor.wires[0][1]  # diagonal control
-    assert cx_tensor.wires[1] == (IndexLabel(1, 0), IndexLabel(1, 1))
+    assert net.tensors[1].indices == (IndexLabel(0, 1),)  # t's hyper edge: in = out
+    # cx: one shared label on the diagonal control, then the target's in and out
+    assert net.tensors[2].indices == (IndexLabel(0, 1), IndexLabel(1, 0), IndexLabel(1, 1))
 
 
 def test_boundary_assignment_diagonal_conflict():

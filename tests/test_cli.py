@@ -6,7 +6,7 @@ import time
 import numpy as np
 import pytest
 
-from tensordd import circuit
+from tensordd import circuit, cli
 from tensordd.circuit import MAX_QUBITS, circuit_unitary, parse_qasm
 from tensordd.cli import build_parser, equivalent, main
 from tensordd.diagram import NodeStore
@@ -69,6 +69,15 @@ def test_amp_diagonal_wire_conflict_is_zero(tmp_path, capsys):
 
 
 def test_amp_bad_bits(tmp_path, capsys):
+    assert main(["amp", EXAMPLE, "1", "11"]) == 2
+    assert "bits" in capsys.readouterr().err
+
+
+def test_amp_checks_bits_before_building(capsys, monkeypatch):
+    def execute_plan(*args, **kwargs):
+        raise AssertionError("built before the bitstrings were checked")
+
+    monkeypatch.setattr(cli, "execute_plan", execute_plan)
     assert main(["amp", EXAMPLE, "1", "11"]) == 2
     assert "bits" in capsys.readouterr().err
 
@@ -186,6 +195,13 @@ def test_dot_golden(tmp_path):
     golden = os.path.join(os.path.dirname(__file__), "golden_example_2q.dot")
     with open(golden) as fh:
         assert dest.read_text() == fh.read()
+
+
+def test_dot_takes_no_partition_options(tmp_path):
+    # dot always builds under seq
+    with pytest.raises(SystemExit) as info:
+        main(["dot", EXAMPLE, str(tmp_path / "out.dot"), "--k", "1"])
+    assert info.value.code == 2
 
 
 def test_bench_directory(tmp_path, capsys):

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from tensordd import diagram
 from tensordd.dense import DenseTensor, IndexLabel, IndexOrder, contract_dense
 from tensordd.diagram import (
     TERMINAL,
@@ -136,16 +137,17 @@ def test_collect_drops_garbage_keeps_live():
     assert not audit(store)
 
 
-def test_bounded_caches():
-    store = NodeStore(cache_limit=50)
+def test_bounded_caches(monkeypatch):
+    monkeypatch.setattr(diagram, "CACHE_LIMIT", 50)
+    store = NodeStore()
     rng = random.Random(0)
     for seed in range(6):
         F = generate(store, rand_dense(rng, tuple(L[:5])))
         G = generate(store, rand_dense(rng, tuple(L[:5])))
         add(F, G)
         contract(F, G, (L[0], L[1]))
-        assert len(store.add_cache) <= store.cache_limit
-        assert len(store.cont_cache) <= store.cache_limit
+        assert len(store.add_cache) <= 50
+        assert len(store.cont_cache) <= 50
 
 
 # --- the flat store: packed unique key and recursion limit ---

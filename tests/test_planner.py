@@ -11,6 +11,7 @@ import pytest
 from tensordd import diagram, planner
 from tensordd.circuit import (Circuit, allocate_indices, functionality_dense, inverse_gate,
                               parse_qasm, parse_qasm_file)
+from tensordd.dense import DenseTensor
 from tensordd.diagram import DeadlineExceeded, NodeStore, audit, to_dense
 from tensordd.numerics import weights_equal
 from tensordd.planner import (
@@ -27,6 +28,12 @@ from tensordd.planner import (
 from util import random_circuit
 
 DEMO = "circuits/partition_demo.qasm"
+
+
+def store_with_gc_limit(order, gc_limit):
+    store = NodeStore(order)
+    store.gc_limit = gc_limit
+    return store
 
 
 def build(circ, scheme="seq", store=None, **kw):
@@ -130,18 +137,36 @@ def test_partition_pinned():
 # --- plan shape ---
 
 
-def test_plan_stats_demo():
-    net = allocate_indices(parse_qasm_file(DEMO))
+# the steps of 60 seeded random circuits' plans under each config of
+# test_partition_pinned, hashed: each operand as a leaf's labels and values or
+# an earlier step's index, then var, mnr and tag; recorded when leaves still
+# carried per-label slot counts
+PINNED_PLAN_SHA256 = "a1d5b5a0cec4717e021cd4ab9e4bd60618ced43981f712e01b7fc10ad6e0d52c"
 
-    def hist(scheme, **kw):
-        h = Counter(n.mnr for n in plan_circuit(net, PartitionConfig(scheme, **kw)).steps)
-        small = sum(c for (m, n, r), c in h.items() if m <= 4 and n <= 4)
-        big = {k: v for k, v in h.items() if not (k[0] <= 4 and k[1] <= 4)}
-        return big, small
 
-    assert hist("seq") == ({(8, 2, 1): 8, (8, 4, 2): 5, (6, 2, 0): 1}, 2)
-    assert hist("p1", k=1) == ({(8, 8, 4): 1, (5, 5, 1): 2, (5, 2, 1): 5}, 10)
-    assert hist("p2", k1=1, k2=2) == ({(8, 8, 4): 1, (8, 4, 2): 1, (5, 5, 1): 1}, 14)
+def test_plan_pinned():
+    configs = ([PartitionConfig(s) for s in ("seq", "p1", "p2")]
+               + [PartitionConfig("p1", k=k) for k in (1, 2, 3)]
+               + [PartitionConfig("p2", k1=k1, k2=k2)
+                  for k1, k2 in ((1, 2), (1, 3), (2, 2), (2, 4), (3, 3))])
+    rng = random.Random(2025)
+    digest = hashlib.sha256()
+    for _ in range(60):
+        net = allocate_indices(random_circuit(rng, rng.randint(2, 9), rng.randint(0, 40)))
+        for cfg in configs:
+            steps = plan_circuit(net, cfg).steps
+            index = {id(node): i for i, node in enumerate(steps)}
+
+            def operand(x):
+                if isinstance(x, DenseTensor):
+                    return x.indices, x.values.tobytes()
+                return index[id(x)]
+
+            for node in steps:
+                digest.update(repr((operand(node.left), operand(node.right),
+                                    node.var, node.mnr, node.tag)).encode())
+            digest.update(b";")
+    assert digest.hexdigest() == PINNED_PLAN_SHA256
 
 
 def test_plan_step_count_is_leaves_minus_one():
@@ -177,7 +202,7 @@ def test_miter_plan_sums_every_label_once(seed):
     # plan_from_parts raises PlanError when a label is summed twice or never
     plan = plan_from_parts(net, partition_miter(len(a.gates), len(b.gates)))
     summed = [l for node in plan.steps for l in node.var]
-    internal = {l for t in net.tensors for l in t.mult} - net.open_labels()
+    internal = {l for t in net.tensors for l in t.indices} - net.open_labels()
     assert len(summed) == len(set(summed)) and set(summed) == internal
     tdd, _ = execute_plan(plan, NodeStore(net.order))
     labels = tuple(net.order.sort(net.open_labels()))
@@ -297,7 +322,7 @@ def test_execute_gc_between_steps():
     circ = random_circuit(random.Random(41), 6, 60)
     net = allocate_indices(circ)
     plan = plan_circuit(net, PartitionConfig("p1"))
-    store = NodeStore(net.order, gc_limit=200)
+    store = store_with_gc_limit(net.order, 200)
     tdd, stats = execute_plan(plan, store)
     assert store.gc_runs > 0
     assert not audit(store)
@@ -309,7 +334,7 @@ def test_execute_gc_between_steps():
 def test_gc_protects_results_already_in_the_store():
     circ = random_circuit(random.Random(8), 5, 25)
     net = allocate_indices(circ)
-    store = NodeStore(net.order, gc_limit=200)
+    store = store_with_gc_limit(net.order, 200)
     first, _ = execute_plan(plan_circuit(net, PartitionConfig("seq")), store)
     dense_before = to_dense(first).values
     execute_plan(plan_circuit(net, PartitionConfig("p1")), store)
@@ -326,7 +351,7 @@ def test_timeout_sweeps_what_the_plan_made(monkeypatch):
                            PartitionConfig("seq"))
 
     def store_with_earlier_result():
-        store = NodeStore(net.order, gc_limit=200)
+        store = store_with_gc_limit(net.order, 200)
         execute_plan(earlier, store)
         return store
 
@@ -429,7 +454,7 @@ def test_live_peak_is_exact(monkeypatch, scheme):
     for circ, gc_limit in cases:
         net = allocate_indices(circ)
         plan = plan_circuit(net, PartitionConfig(scheme))
-        store = NodeStore(net.order, gc_limit=gc_limit)
+        store = store_with_gc_limit(net.order, gc_limit)
         result, stats, peak, nodes = run_recording_live_sets(monkeypatch, plan, store)
         assert stats["peak_nodes"] == peak
         assert [s["nodes"] for s in stats["steps"]] == nodes
@@ -442,7 +467,7 @@ def test_live_peak_is_exact(monkeypatch, scheme):
 def test_live_peak_of_trivial_plans(monkeypatch, text):
     net = allocate_indices(parse_qasm("OPENQASM 2.0;\n" + text))
     plan = plan_circuit(net, PartitionConfig("seq"))
-    assert plan.root is None or isinstance(plan.root, planner.PlanLeaf)
+    assert plan.steps == [] and isinstance(plan.root, DenseTensor)
     store = NodeStore(net.order)
     result, stats, peak, nodes = run_recording_live_sets(monkeypatch, plan, store)
     assert stats["steps"] == [] and nodes == []
