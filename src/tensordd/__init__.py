@@ -5,14 +5,14 @@ from .circuit import (Circuit, CircuitNet, Gate, QasmError,
                       parse_qasm_file)
 from .dense import (NATURAL_ORDER, DenseTensor, IndexLabel, IndexOrder,
                     contract_dense, network_to_dense, slice_dense)
-from .diagram import (TERMINAL, Edge, NodeStore, StoreError, Tdd, add,
+from .diagram import (TERMINAL, Edge, NodeStore, PlanTimeout, StoreError, Tdd, add,
                       audit, contract, evaluate, export_dot,
                       generate, reachable, relabel, size,
                       tensor_product, to_dense)
 from .numerics import (DEFAULT_TOLERANCE, ToleranceConfig, canonical,
                        format_weight, is_one, is_zero, weights_equal)
 from .planner import (SCHEME1, SCHEME2, SEQUENTIAL, Part, PartitionConfig,
-                      Plan, PlanError, PlanTimeout, execute_plan, partition,
+                      Plan, PlanError, execute_plan, partition,
                       plan_circuit, plan_from_parts)
 
 __version__ = "0.1.0"

@@ -13,11 +13,13 @@ import numpy as np
 from .circuit import (Circuit, QasmError, allocate_indices, functionality_dense, inverse_gate,
                       parse_qasm_file)
 from .dense import DenseTensor, IndexLabel, IndexOrder
-from .diagram import (NodeStore, contract, evaluate, export_dot, generate,
+from .diagram import (NodeStore, PlanTimeout, contract, evaluate, export_dot, generate,
                       relabel, tensor_product, to_dense)
 from .numerics import ToleranceConfig, format_weight, is_one
-from .planner import (PartitionConfig, PlanError, PlanTimeout, execute_plan,
+from .planner import (PartitionConfig, PlanError, execute_plan,
                       partition_miter, plan_circuit, plan_from_parts)
+
+SCHEMES = ("seq", "p1", "p2")
 
 # comparison-grid position for output labels; far above any real wire segment
 SPLIT_POS = 1_000_000
@@ -239,7 +241,7 @@ def cmd_dot(args):
 def cmd_bench(args):
     schemes = [s.strip() for s in args.schemes.split(",") if s.strip()]
     for s in schemes:
-        if s not in ("seq", "p1", "p2"):
+        if s not in SCHEMES:
             raise CliError("unknown scheme %r in --schemes" % s)
         # options no circuit can satisfy exit before any file runs; every
         # scheme can cut 2 qubits, so only the options are checked here
@@ -257,10 +259,9 @@ def cmd_bench(args):
     return 0
 
 
-def _add_common(sp, partition=True, scheme=True, equiv=False):
+def _add_common(sp, partition=True, scheme=True):
     """Options shared by the commands: index order and tolerances, then the
-    partition options unless partition=False; equiv=True marks those as
-    accepted but ignored (equiv plans its own miter)."""
+    partition options unless partition=False."""
     sp.add_argument("--inverse-order", action="store_true",
                     help="reverse the qubit-major index order")
     sp.add_argument("--eps", type=float, default=1e-10,
@@ -269,13 +270,12 @@ def _add_common(sp, partition=True, scheme=True, equiv=False):
                     help="comparison tolerance (default 1e-9)")
     if not partition:
         return
-    note = "; accepted but not used by equiv" if equiv else ""
     if scheme:
-        sp.add_argument("--scheme", choices=["seq", "p1", "p2"], default="seq",
-                        help="contraction strategy (default seq)" + note)
-    sp.add_argument("--k", type=int, default=None, help="scheme p1 crossing-CX budget" + note)
-    sp.add_argument("--k1", type=int, default=None, help="scheme p2 CX-cut budget" + note)
-    sp.add_argument("--k2", type=int, default=None, help="scheme p2 C-block qubit cap" + note)
+        sp.add_argument("--scheme", choices=SCHEMES, default="seq",
+                        help="contraction strategy (default seq)")
+    sp.add_argument("--k", type=int, default=None, help="scheme p1 crossing-CX budget")
+    sp.add_argument("--k1", type=int, default=None, help="scheme p2 CX-cut budget")
+    sp.add_argument("--k2", type=int, default=None, help="scheme p2 C-block qubit cap")
 
 
 def build_parser():
@@ -309,7 +309,9 @@ def build_parser():
     sp.add_argument("file_b")
     sp.add_argument("--up-to-phase", action="store_true",
                     help="ignore a global phase difference")
-    _add_common(sp, equiv=True)
+    _add_common(sp, partition=False)
+    sp.add_argument("--scheme", choices=SCHEMES, default="seq",
+                    help="accepted but not used: equiv plans its own miter")
     sp.set_defaults(func=cmd_equiv)
 
     sp = sub.add_parser("dot", help="export a circuit's diagram as Graphviz DOT")

@@ -129,7 +129,7 @@ def contract_dense(gamma, xi, var, order=NATURAL_ORDER):
     return DenseTensor(out_labels, np.asarray(vals, dtype=complex))
 
 
-def network_to_dense(net, open_labels, order=NATURAL_ORDER, summed=()):
+def network_to_dense(net, open_labels, order=NATURAL_ORDER):
     """Left-fold contraction of a tensor list.
 
     Each label outside open_labels is summed at the step where its last
@@ -137,14 +137,11 @@ def network_to_dense(net, open_labels, order=NATURAL_ORDER, summed=()):
     come out as all-ones axes (an untouched wire is the constant-1 tensor).
     """
     open_set = set(open_labels)
-    summed = set(summed)
     remaining = Counter()
     for t in net:
         remaining.update(t.indices)
     for lab, cnt in remaining.items():
-        if lab in open_set and lab in summed:
-            raise ValueError("label %s both open and summed" % (lab,))
-        if cnt == 1 and lab not in open_set and lab not in summed:
+        if cnt == 1 and lab not in open_set:
             raise ValueError("dangling label %s (single holder, not open)" % (lab,))
     acc = DenseTensor.constant(1)
     for t in net:

@@ -64,7 +64,7 @@ class StoreError(ValueError):
     pass
 
 
-class DeadlineExceeded(RuntimeError):
+class PlanTimeout(RuntimeError):
     """Raised once a deadline has passed: by make_level_node for the store's,
     by the planner between steps for a plan's."""
 
@@ -89,7 +89,7 @@ class NodeStore:
     maps each live node's node_key to its id, so its length is the live count.
 
     deadline, when set, is an absolute time.monotonic() value: make_level_node
-    raises DeadlineExceeded once it has passed, reading the clock once every
+    raises PlanTimeout once it has passed, reading the clock once every
     DEADLINE_CHECK_IDS new node ids and before it changes anything, so the
     store stays sound for the caller that catches the error.
     """
@@ -197,15 +197,13 @@ class NodeStore:
             nid = len(levels)
             if (not nid % DEADLINE_CHECK_IDS and self.deadline is not None
                     and time.monotonic() > self.deadline):
-                raise DeadlineExceeded("store deadline passed at node id %d" % nid)
+                raise PlanTimeout("store deadline passed at node id %d" % nid)
             levels.append(level)
             self.w0.append(n0)
             self.t0.append(t0)
             self.w1.append(n1)
             self.t1.append(t1)
             self.unique[key] = nid
-            if len(self.unique) > self.peak_nodes:
-                self.peak_nodes = len(self.unique)
         else:
             self.unique_hits += 1
         return _new(Edge, (w, nid))
@@ -221,6 +219,8 @@ class NodeStore:
         ids; they refill on the following operations. Only call between
         operations: an in-flight recursion holds edges the roots don't reach.
         """
+        # the live count only falls here; stats() adds the current one
+        self.peak_nodes = max(self.peak_nodes, len(self.unique))
         live = reachable(self, roots)
         unique = {}
         for k, t in self.unique.items():
@@ -241,7 +241,7 @@ class NodeStore:
     def stats(self):
         return {
             "live_nodes": len(self.unique),
-            "peak_nodes": self.peak_nodes,
+            "peak_nodes": max(self.peak_nodes, len(self.unique)),
             "unique_hits": self.unique_hits,
             "cache_hits_add": self.cache_hits_add,
             "cache_hits_cont": self.cache_hits_cont,

@@ -7,7 +7,7 @@ from collections import Counter
 from dataclasses import dataclass, replace
 
 from .dense import DenseTensor
-from .diagram import DeadlineExceeded, contract, generate, reachable, size, tensor_product
+from .diagram import PlanTimeout, contract, generate, reachable, size, tensor_product
 
 SEQUENTIAL = "seq"
 SCHEME1 = "p1"
@@ -15,10 +15,6 @@ SCHEME2 = "p2"
 
 
 class PlanError(ValueError):
-    pass
-
-
-class PlanTimeout(RuntimeError):
     pass
 
 
@@ -143,8 +139,8 @@ class Plan:
 
 
 def _plain_walk(circ):
-    """Wire segments of the plain network, where every gate advances each
-    wire it touches (no diagonal-gate label sharing)."""
+    """Per gate, its wires' segments in the plain network, where every gate
+    advances each wire it touches (no diagonal-gate label sharing)."""
     pos = {q: 0 for q in range(circ.n_qubits)}
     per_gate = []
     for g in circ.gates:
@@ -153,59 +149,55 @@ def _plain_walk(circ):
             wires[q] = (("w", q, pos[q]), ("w", q, pos[q] + 1))
             pos[q] += 1
         per_gate.append(wires)
-    boundary = {("w", q, 0) for q in pos} | {("w", q, p) for q, p in pos.items()}
-    return per_gate, boundary
+    return per_gate
 
 
 def _leaf(net, per_gate, pos, role):
     """A part item's leaf tensor and its labels in the plain network."""
     g = net.circuit.gates[pos]
     if role == "whole":
-        return net.tensors[pos], tuple(l for q in g.qubits for l in per_gate[pos][q])
+        return net.tensors[pos], frozenset(l for q in g.qubits for l in per_gate[pos][q])
     # split CX: the copy half keeps the control wire and carries the constant
     # 1 (the control label just extends across the cut); the xor half carries
     # the whole gate tensor on the target side
     bond = ("bond", pos)
     if role == "copy":
-        return DenseTensor.constant(1), per_gate[pos][g.qubits[0]] + (bond,)
-    return net.tensors[pos], per_gate[pos][g.qubits[1]] + (bond,)
+        return DenseTensor.constant(1), frozenset(per_gate[pos][g.qubits[0]] + (bond,))
+    return net.tensors[pos], frozenset(per_gate[pos][g.qubits[1]] + (bond,))
 
 
 def plan_from_parts(net, parts):
     """Build the contraction tree: per-part left fold in item order, then
     A*B(*C) per segment, then a left fold over segments."""
-    per_gate, plain_boundary = _plain_walk(net.circuit)
-    exec_boundary = net.open_labels()
-
+    per_gate = _plain_walk(net.circuit)
+    boundary = net.open_labels()
     part_leaves = [[_leaf(net, per_gate, p, role) for p, role in part.items]
                    for part in parts]
-    # per label, the number of leaves holding it in the executed network
-    # (their indices) and in the plain one; a label is summed at the merge
-    # where its last holder joins
-    exec_total = Counter()
-    plain_total = Counter()
+    # per label, its holders: the leaves whose indices hold it, plus the
+    # outside for an open label, so that one never reaches its total. A
+    # label is summed at the merge where its count reaches the total
+    total = Counter(boundary)
     for leaves in part_leaves:
-        for leaf, plain in leaves:
-            exec_total.update(leaf.indices)
-            plain_total.update(plain)
+        for leaf, _ in leaves:
+            total.update(leaf.indices)
 
     steps = []
 
-    # every (plan entry, exec counts, plain counts) triple keeps open labels
-    # only: a label whose holders have all joined can be in no later step
-    def open_counts(counts, total, boundary):
-        return Counter({l: c for l, c in counts.items() if c < total[l] or l in boundary})
+    # every plan entry carries the counts of its open labels only: a label
+    # whose holders have all joined can be in no later step. A plain label
+    # has at most two holders (a wire segment's gates or a split CX's
+    # halves), so an entry's open plain labels are a set
+    def open_counts(counts):
+        return Counter({l: c for l, c in counts.items() if c < total[l]})
 
     def merge(left, right, tag):
         ln, lc, lp = left
         rn, rc, rp = right
-        var = sorted((l for l in lc.keys() & rc.keys()
-                      if lc[l] + rc[l] == exec_total[l] and l not in exec_boundary),
-                     key=net.order.key)
-        node = PlanNode(ln, rn, tuple(var), (len(lp), len(rp), len(lp.keys() & rp.keys())), tag)
+        held = lc + rc
+        var = sorted((l for l, c in held.items() if c == total[l]), key=net.order.key)
+        node = PlanNode(ln, rn, tuple(var), (len(lp), len(rp), len(lp & rp)), tag)
         steps.append(node)
-        return (node, open_counts(lc + rc, exec_total, exec_boundary),
-                open_counts(lp + rp, plain_total, plain_boundary))
+        return node, open_counts(held), lp ^ rp
 
     def fold(entries, tag):
         acc = None
@@ -218,18 +210,15 @@ def plan_from_parts(net, parts):
         if not leaves:
             continue
         tag = "%s%d" % (part.region, part.segment)
-        acc = fold([(lf, open_counts(Counter(lf.indices), exec_total, exec_boundary),
-                     open_counts(Counter(plain), plain_total, plain_boundary))
-                    for lf, plain in leaves], tag)
+        acc = fold([(lf, open_counts(Counter(lf.indices)), plain) for lf, plain in leaves], tag)
         by_segment.setdefault(part.segment, []).append(acc)
     seg_accs = [fold(by_segment[s], "S%d" % s) for s in sorted(by_segment)]
-    total = fold(seg_accs, "join")
+    root = fold(seg_accs, "join")
 
     summed = Counter(l for node in steps for l in node.var)
-    expected = set(exec_total) - exec_boundary
-    if set(summed) != expected or any(c != 1 for c in summed.values()):
+    if set(summed) != set(total) - boundary or any(c != 1 for c in summed.values()):
         raise PlanError("label accounting mismatch between plan steps and circuit")
-    return Plan(parts, DenseTensor.constant(1) if total is None else total[0], steps)
+    return Plan(parts, DenseTensor.constant(1) if root is None else root[0], steps)
 
 
 def plan_circuit(net, cfg=None):
@@ -258,9 +247,9 @@ def execute_plan(plan, store, deadline=None):
     store.deadline = deadline
     try:
         return _execute(plan, store, deadline, base)
-    except DeadlineExceeded as exc:
+    except PlanTimeout:
         store.collect([], keep_below=base)
-        raise PlanTimeout("plan execution exceeded its deadline") from exc
+        raise
     finally:
         store.deadline = None
 
@@ -295,7 +284,7 @@ def _execute(plan, store, deadline, base):
     step_log = []
     for node in plan.steps:
         if deadline is not None and time.monotonic() > deadline:
-            raise DeadlineExceeded("plan deadline passed before step %s" % node.tag)
+            raise PlanTimeout("plan deadline passed before step %s" % node.tag)
         for side in (node.left, node.right):
             if isinstance(side, DenseTensor):
                 put(id(side), generate(store, side))

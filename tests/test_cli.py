@@ -112,6 +112,15 @@ def test_equiv_qubit_mismatch(tmp_path, capsys):
     assert "qubit counts differ" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flag", ["--k", "--k1", "--k2"])
+def test_equiv_takes_no_partition_budgets(flag):
+    # equiv plans its own miter; only --scheme is still accepted, unused
+    assert build_parser().parse_args(["equiv", EXAMPLE, EXAMPLE, "--scheme", "p1"]).scheme == "p1"
+    with pytest.raises(SystemExit) as info:
+        main(["equiv", EXAMPLE, EXAMPLE, flag, "1"])
+    assert info.value.code == 2
+
+
 def _variants(rng, n, lines):
     """(name, B's gate lines) for A's gate lines: an equivalent rewrite, a
     dropped gate, a perturbed angle and a global-phase rewrite."""

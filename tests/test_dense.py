@@ -109,12 +109,10 @@ def test_network_to_dense_untouched_open_label():
     assert np.allclose(out.values, [[2, 2], [3, 3]])
 
 
-def test_network_to_dense_rejects_dangling_and_conflicts():
+def test_network_to_dense_rejects_dangling():
     net = [DenseTensor.from_flat((A,), [1, 1])]
     with pytest.raises(ValueError):
         network_to_dense(net, [])
-    with pytest.raises(ValueError):
-        network_to_dense(net, [A], summed=[A])
 
 
 @given(st.integers(0, 2 ** 16 - 1))

@@ -12,7 +12,7 @@ from tensordd import diagram, planner
 from tensordd.circuit import (Circuit, allocate_indices, functionality_dense, inverse_gate,
                               parse_qasm, parse_qasm_file)
 from tensordd.dense import DenseTensor
-from tensordd.diagram import DeadlineExceeded, NodeStore, audit, to_dense
+from tensordd.diagram import NodeStore, audit, to_dense
 from tensordd.numerics import weights_equal
 from tensordd.planner import (
     PartitionConfig,
@@ -169,6 +169,65 @@ def test_plan_pinned():
     assert digest.hexdigest() == PINNED_PLAN_SHA256
 
 
+def leaves_in_order(x):
+    if isinstance(x, DenseTensor):
+        return [x]
+    return leaves_in_order(x.left) + leaves_in_order(x.right)
+
+
+def assert_ranks_match_brute_force(circ, plan, net):
+    """Recount every step's (m, n, r) from the plain network: each wire
+    segment (q, p) between the p-th and (p+1)-th gate on wire q, and one bond
+    per split CX. An operand's label is open when it is a wire end or has a
+    holder outside the operand."""
+    items = [item for part in plan.parts for item in part.items]
+    leaves = leaves_in_order(plan.root)
+    assert len(leaves) == max(1, len(items))
+    seen = Counter()
+    wires = []   # per gate, {qubit: (segment before, segment after)}
+    for g in circ.gates:
+        wires.append({q: ((q, seen[q]), (q, seen[q] + 1)) for q in g.qubits})
+        seen.update(g.qubits)
+    ends = {(q, 0) for q in range(circ.n_qubits)} | {(q, seen[q]) for q in range(circ.n_qubits)}
+    plain = {}   # id(leaf) -> its plain labels
+    for leaf, (pos, role) in zip(leaves, items):
+        g = circ.gates[pos]
+        if role == "whole":
+            assert leaf is net.tensors[pos]
+            plain[id(leaf)] = {l for q in g.qubits for l in wires[pos][q]}
+        else:
+            assert leaf is net.tensors[pos] if role == "xor" else leaf.rank == 0
+            q = g.qubits[0] if role == "copy" else g.qubits[1]
+            plain[id(leaf)] = set(wires[pos][q]) | {("bond", pos)}
+    holders = {}
+    for i, labels in plain.items():
+        for l in labels:
+            holders.setdefault(l, set()).add(i)
+
+    def open_plain(x):
+        under = {id(leaf) for leaf in leaves_in_order(x)}
+        labels = set().union(*(plain[i] for i in under))
+        return {l for l in labels if l in ends or holders[l] - under}
+
+    for node in plan.steps:
+        lp, rp = open_plain(node.left), open_plain(node.right)
+        assert node.mnr == (len(lp), len(rp), len(lp & rp))
+
+
+def test_plan_ranks_match_brute_force():
+    rng = random.Random(2026)
+    for _ in range(30):
+        circ = random_circuit(rng, rng.randint(2, 6), rng.randint(0, 25))
+        net = allocate_indices(circ)
+        for cfg in (PartitionConfig("seq"), PartitionConfig("p1"), PartitionConfig("p2")):
+            assert_ranks_match_brute_force(circ, plan_circuit(net, cfg), net)
+        b = random_circuit(rng, circ.n_qubits, rng.randint(0, 25))
+        miter = Circuit(circ.n_qubits, circ.gates + tuple(inverse_gate(g) for g in reversed(b.gates)))
+        net = allocate_indices(miter)
+        plan = plan_from_parts(net, partition_miter(len(circ.gates), len(b.gates)))
+        assert_ranks_match_brute_force(miter, plan, net)
+
+
 def test_plan_step_count_is_leaves_minus_one():
     circ = parse_qasm_file(DEMO)
     net = allocate_indices(circ)
@@ -305,7 +364,7 @@ def test_execute_deadline(monkeypatch):
     monkeypatch.setattr(diagram, "DEADLINE_CHECK_IDS", 1)
     with pytest.raises(PlanTimeout) as info:
         execute_plan(plan, store, deadline=time.monotonic() + 3600.0)
-    assert isinstance(info.value.__cause__, DeadlineExceeded)
+    assert str(info.value).startswith("store deadline passed at node id ")
     assert calls.count("start") == armed and calls[-1] == "start"
     assert store.deadline is None
     assert not audit(store)
