@@ -58,6 +58,10 @@ def _plan(path, args, scheme=None):
     return circ, net, cfg, plan_circuit(net, cfg)
 
 
+def _deadline(timeout_s):
+    return None if timeout_s is None else time.monotonic() + timeout_s
+
+
 def _run_circuit(path, args, scheme=None, timeout_s=None, verify=False):
     """Parse, plan and build one circuit; returns its report.
 
@@ -69,9 +73,8 @@ def _run_circuit(path, args, scheme=None, timeout_s=None, verify=False):
     name = Path(path).stem
     circ, net, cfg, plan = _plan(path, args, scheme)
     store = NodeStore(net.order, _tolerance(args))
-    deadline = None if timeout_s is None else time.monotonic() + timeout_s
     try:
-        tdd, stats = execute_plan(plan, store, deadline)
+        tdd, stats = execute_plan(plan, store, _deadline(timeout_s))
     except PlanTimeout:
         return _report(name, circ, cfg, plan, None, timeout_s=timeout_s, timed_out=True)
     except MemoryError:
@@ -164,7 +167,12 @@ def cmd_amp(args):
     circ, net, _, plan = _plan(args.file, args)
     in_bits = _parse_bits(args.in_bits, circ.n_qubits, "input bitstring")
     out_bits = _parse_bits(args.out_bits, circ.n_qubits, "output bitstring")
-    tdd, _ = execute_plan(plan, NodeStore(net.order, _tolerance(args)))
+    try:
+        tdd, _ = execute_plan(plan, NodeStore(net.order, _tolerance(args)),
+                              _deadline(args.timeout_s))
+    except PlanTimeout:
+        print("timed out after %.2f s" % args.timeout_s, file=sys.stderr)
+        return 1
     a = amplitude(net, tdd, in_bits, out_bits)
     print(format_weight(a))
     return 0
@@ -203,7 +211,8 @@ def equivalent(path_a, path_b, args, up_to_phase=False):
     phase if asked). Builds the miter B^-1 * A, contracting from the A/B
     junction outward (Burgholzer & Wille, "Advanced equivalence checking for
     quantum circuits", IEEE TCAD 2021), and compares it with the identity;
-    neither circuit's own functionality is built."""
+    neither circuit's own functionality is built. Building the miter raises
+    PlanTimeout once args.timeout_s (None: no limit) has passed."""
     circ_a = parse_qasm_file(path_a)
     circ_b = parse_qasm_file(path_b)
     n = circ_a.n_qubits
@@ -215,7 +224,7 @@ def equivalent(path_a, path_b, args, up_to_phase=False):
     net = allocate_indices(miter, order)
     plan = plan_from_parts(net, partition_miter(len(circ_a.gates), len(circ_b.gates)))
     store = NodeStore(order, tol)
-    tdd, _ = execute_plan(plan, store)
+    tdd, _ = execute_plan(plan, store, _deadline(args.timeout_s))
     root = boundary_normalized(tdd, net).root
     if root.target != _identity(store, n).root.target:
         return False
@@ -225,7 +234,11 @@ def equivalent(path_a, path_b, args, up_to_phase=False):
 
 
 def cmd_equiv(args):
-    same = equivalent(args.file_a, args.file_b, args, up_to_phase=args.up_to_phase)
+    try:
+        same = equivalent(args.file_a, args.file_b, args, up_to_phase=args.up_to_phase)
+    except PlanTimeout:
+        print("undecided: timed out after %.2f s" % args.timeout_s)
+        return 1
     mode = "up to global phase" if args.up_to_phase else "exactly"
     print("equivalent (%s)" % mode if same else "not equivalent (%s)" % mode)
     return 0 if same else 1
@@ -299,6 +312,7 @@ def build_parser():
     sp.add_argument("in_bits", help="input basis bitstring, qubit 0 first")
     sp.add_argument("out_bits", help="output basis bitstring, qubit 0 first")
     _add_common(sp)
+    sp.add_argument("--timeout-s", type=float, default=None, help=TIMEOUT_HELP)
     sp.set_defaults(func=cmd_amp)
 
     sp = sub.add_parser("equiv", help="check two circuits for equivalence",
@@ -312,6 +326,7 @@ def build_parser():
     _add_common(sp, partition=False)
     sp.add_argument("--scheme", choices=SCHEMES, default="seq",
                     help="accepted but not used: equiv plans its own miter")
+    sp.add_argument("--timeout-s", type=float, default=None, help=TIMEOUT_HELP)
     sp.set_defaults(func=cmd_equiv)
 
     sp = sub.add_parser("dot", help="export a circuit's diagram as Graphviz DOT")

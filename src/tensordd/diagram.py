@@ -73,8 +73,11 @@ class PlanTimeout(RuntimeError):
 DEADLINE_CHECK_IDS = 1 << 14
 
 # a plan sweeps between steps above store.gc_limit live nodes, which starts
-# here and which a sweep may raise; a computed cache is cleared above CACHE_LIMIT
-GC_LIMIT = 1_000_000
+# here and which a sweep may raise. A sweep frees only nodes: the computed
+# caches serve one top-level operation (add, contract) and are emptied when it
+# returns or raises, so between operations they hold nothing. Within one
+# operation a cache is cleared once it holds CACHE_LIMIT entries.
+GC_LIMIT = 1 << 14
 CACHE_LIMIT = 2_000_000
 
 
@@ -214,10 +217,10 @@ class NodeStore:
         Ids below keep_below survive unconditionally, so a caller can protect
         everything that existed before it started creating nodes (children
         always carry smaller ids than their parents, so survivors never
-        reference a collected id). Node ids are never reused. The operation
-        caches are cleared wholesale because entries may reference collected
-        ids; they refill on the following operations. Only call between
-        operations: an in-flight recursion holds edges the roots don't reach.
+        reference a collected id). Node ids are never reused. The computed
+        caches are left alone: they are empty between operations, and only
+        call this between operations, since an in-flight recursion holds
+        edges (and cache entries) the roots don't reach.
         """
         # the live count only falls here; stats() adds the current one
         self.peak_nodes = max(self.peak_nodes, len(self.unique))
@@ -229,8 +232,6 @@ class NodeStore:
             else:
                 self.level[t] = self.w0[t] = self.t0[t] = self.w1[t] = self.t1[t] = None
         self.unique = unique
-        self.add_cache.clear()
-        self.cont_cache.clear()
         self.gc_runs += 1
         # raise the watermark when most nodes survive, so a mostly-live store
         # does not trigger a fruitless sweep on every following operation
@@ -325,16 +326,33 @@ def _add(store, wa, ta, wb, tb):
         lw, lt = _add(store, a0w, a0t, b0w, b0t)
         hw, ht = _add(store, a1w, a1t, b1w, b1t)
         res = store.make_level_node(x, lw, lt, hw, ht)
-        store.add_cache[key] = res
-        if len(store.add_cache) > CACHE_LIMIT:
-            store.add_cache.clear()
+        cache = store.add_cache
+        if len(cache) >= CACHE_LIMIT:
+            cache.clear()
+        cache[key] = res
     w = res[0] * wa
     if -half <= w.real <= half and -half <= w.imag <= half:
         return _ZERO_EDGE
     return _new(Edge, (w, res[1]))
 
 
+def _one_operation(fn):
+    """Run a top-level kernel call whose computed caches serve it alone:
+    they are emptied on the way out, also when it raises (PlanTimeout,
+    MemoryError), so no entry outlives the operation or its nodes."""
+    @functools.wraps(fn)
+    def run(F, G, *rest):
+        try:
+            return fn(F, G, *rest)
+        finally:
+            F.store.add_cache.clear()
+            F.store.cont_cache.clear()
+
+    return run
+
+
 @_deep
+@_one_operation
 def add(F, G):
     """Pointwise sum; operands must share one store."""
     _check_pair(F, G)
@@ -383,10 +401,11 @@ def _cont(store, wf, tf, wg, tg, var):
             res = _add(store, lw, lt, hw, ht)
         else:
             res = store.make_level_node(x, lw, lt, hw, ht)
-        store.cont_cache[key] = res
+        cache = store.cont_cache
         # memoization only: dropping entries costs recomputation, never accuracy
-        if len(store.cont_cache) > CACHE_LIMIT:
-            store.cont_cache.clear()
+        if len(cache) >= CACHE_LIMIT:
+            cache.clear()
+        cache[key] = res
     w = res[0] * scale
     if -half <= w.real <= half and -half <= w.imag <= half:
         return _ZERO_EDGE
@@ -394,6 +413,7 @@ def _cont(store, wf, tf, wg, tg, var):
 
 
 @_deep
+@_one_operation
 def contract(F, G, var):
     """Contract two diagrams over var; var may name labels absent from either."""
     _check_pair(F, G)
@@ -419,26 +439,34 @@ def evaluate(F, assignment):
     Indices with no node on the path contribute a factor 1; a hyper label is
     looked up once and applies to all its slots.
     """
-    store = F.store
-    w = F.root.weight
-    t = F.root.target
+    key = F.store.order.key
+    return _evaluate(F.store, F.root, {key(x): b for x, b in assignment.items()})
+
+
+def _evaluate(store, root, bits):
+    """evaluate, with the assignment keyed by integer level."""
+    levels, w0, t0, w1, t1 = store.level, store.w0, store.t0, store.w1, store.t1
+    w, t = root
     while t != TERMINAL and w != 0:
-        level, w0, t0, w1, t1 = store.node(t)
-        x = store.order.label(level)
-        if x not in assignment:
-            raise KeyError("assignment missing %s" % (x,))
-        w, t = (w * w1, t1) if assignment[x] else (w * w0, t0)
+        b = bits.get(levels[t])
+        if b is None:
+            if levels[t] is None:
+                raise KeyError(t)
+            raise KeyError("assignment missing %s" % (store.order.label(levels[t]),))
+        w, t = (w * w1[t], t1[t]) if b else (w * w0[t], t0[t])
     return canonical(w, store.cfg)
 
 
 def to_dense(F, indices=None):
     """Evaluate F on every assignment of the given (or its own) label list."""
-    labs = list(indices) if indices is not None else F.store.order.sort(F.labels)
+    store = F.store
+    labs = list(indices) if indices is not None else store.order.sort(F.labels)
     if len(labs) > MAX_RANK:
         raise ValueError("rank %d exceeds the dense cap" % len(labs))
+    levels = [store.order.key(x) for x in labs]
     vals = np.empty((2,) * len(labs), dtype=complex)
     for bits in itertools.product((0, 1), repeat=len(labs)):
-        vals[bits] = evaluate(F, dict(zip(labs, bits)))
+        vals[bits] = _evaluate(store, F.root, dict(zip(levels, bits)))
     return DenseTensor(tuple(labs), vals)
 
 
@@ -530,29 +558,37 @@ def relabel(F, mapping):
 def audit(store):
     """Return a list of invariant violations; an empty list means sound."""
     cfg = store.cfg
+    levels, unique = store.level, store.unique
+    bound = 1 + 2 * cfg.eps
     problems = []
-    ids = [t for t in range(1, len(store.level)) if store.level[t] is not None]
-    for nid in ids:
-        level, w0, t0, w1, t1 = store.node(nid)
+    live = 0
+    nodes = zip(levels, store.w0, store.t0, store.w1, store.t1)
+    for nid, (level, w0, t0, w1, t1) in enumerate(itertools.islice(nodes, 1, None), 1):
+        if level is None:
+            continue
+        live += 1
+        z0 = is_zero(w0, cfg)
+        z1 = is_zero(w1, cfg)
         if not (w0 == 1 or w1 == 1):
             problems.append("node %d: no unit edge weight" % nid)
-        if abs(w0) > 1 + 2 * cfg.eps or abs(w1) > 1 + 2 * cfg.eps:
+        if abs(w0) > bound or abs(w1) > bound:
             problems.append("node %d: edge weight magnitude above 1" % nid)
-        if is_zero(w0, cfg) and is_zero(w1, cfg):
+        if z0 and z1:
             problems.append("node %d: represents the zero tensor" % nid)
         if t0 == t1 and weights_equal(w0, w1, cfg):
             problems.append("node %d: equal children, should have collapsed" % nid)
-        for w, t in ((w0, t0), (w1, t1)):
-            if is_zero(w, cfg) and t != TERMINAL:
+        for z, t in ((z0, t0), (z1, t1)):
+            if t == TERMINAL:
+                continue
+            if z:
                 problems.append("node %d: zero-weight edge off the terminal" % nid)
-            if t != TERMINAL:
-                child = store.level[t] if t < len(store.level) else None
-                if child is None:
-                    problems.append("node %d: dangling child" % nid)
-                elif level >= child:
-                    problems.append("node %d: index order violated" % nid)
-        if store.unique.get(store.node_key(level, w0, t0, w1, t1)) != nid:
+            child = levels[t] if t < len(levels) else None
+            if child is None:
+                problems.append("node %d: dangling child" % nid)
+            elif level >= child:
+                problems.append("node %d: index order violated" % nid)
+        if unique.get(store.node_key(level, w0, t0, w1, t1)) != nid:
             problems.append("node %d: unique table mismatch" % nid)
-    if len(store.unique) != len(ids):
-        problems.append("unique table size %d != node count %d" % (len(store.unique), len(ids)))
+    if len(unique) != live:
+        problems.append("unique table size %d != node count %d" % (len(unique), live))
     return problems

@@ -82,6 +82,21 @@ def test_amp_checks_bits_before_building(capsys, monkeypatch):
     assert "bits" in capsys.readouterr().err
 
 
+def test_amp_timeout(capsys):
+    assert main(["amp", DEMO, "0000", "0000", "--timeout-s", "1e-9"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.strip() == "timed out after 0.00 s" and captured.out == ""
+
+
+def test_equiv_timeout_is_undecided(capsys):
+    assert build_parser().parse_args(["equiv", DEMO, DEMO]).timeout_s is None
+    assert main(["equiv", DEMO, DEMO, "--timeout-s", "1e-9"]) == 1
+    assert capsys.readouterr().out.strip() == "undecided: timed out after 0.00 s"
+    # a budget the build fits in decides as before
+    assert main(["equiv", DEMO, DEMO, "--timeout-s", "60"]) == 0
+    assert "equivalent (exactly)" in capsys.readouterr().out
+
+
 def test_equiv_identities(tmp_path, capsys):
     hzh = write(tmp_path, "hzh.qasm", "h q[0];\nz q[0];\nh q[0];")
     x = write(tmp_path, "x.qasm", "x q[0];")

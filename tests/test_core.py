@@ -137,17 +137,67 @@ def test_collect_drops_garbage_keeps_live():
     assert not audit(store)
 
 
+class RecordingCache(dict):
+    """A computed table that records its insertions and its largest size, so
+    a test can see what the kernel cached while a call ran."""
+
+    def __init__(self):
+        super().__init__()
+        self.inserts = 0
+        self.largest = 0
+
+    def __setitem__(self, key, value):
+        super().__setitem__(key, value)
+        self.inserts += 1
+        self.largest = max(self.largest, len(self))
+
+
+def recording_caches(store):
+    store.add_cache = RecordingCache()
+    store.cont_cache = RecordingCache()
+    return store.add_cache, store.cont_cache
+
+
 def test_bounded_caches(monkeypatch):
     monkeypatch.setattr(diagram, "CACHE_LIMIT", 50)
     store = NodeStore()
+    caches = recording_caches(store)
     rng = random.Random(0)
     for seed in range(6):
         F = generate(store, rand_dense(rng, tuple(L[:5])))
         G = generate(store, rand_dense(rng, tuple(L[:5])))
         add(F, G)
         contract(F, G, (L[0], L[1]))
-        assert len(store.add_cache) <= 50
-        assert len(store.cont_cache) <= 50
+    for cache in caches:
+        # the calls cached more than the limit, and no table ever held more
+        assert cache.inserts > 50
+        assert cache.largest <= 50
+
+
+def test_caches_last_one_operation(monkeypatch):
+    rng = random.Random(5)
+    store = NodeStore()
+    caches = recording_caches(store)
+    F = generate(store, rand_dense(rng, tuple(L[:5])))
+    G = generate(store, rand_dense(rng, tuple(L[:5])))
+    H = generate(store, rand_dense(rng, tuple(L[5:8])))
+    for op in (lambda: add(F, G), lambda: contract(F, G, (L[0], L[2])),
+               lambda: tensor_product(F, H)):
+        inserted = sum(c.inserts for c in caches)
+        op()
+        assert sum(c.inserts for c in caches) > inserted
+        assert not any(caches)
+    # a deadline that passes inside the contraction: the first deadline check
+    # comes 8 new node ids into it, after entries were cached
+    K = generate(store, rand_dense(rng, tuple(L[1:6])))
+    monkeypatch.setattr(diagram, "DEADLINE_CHECK_IDS", len(store.level) + 8)
+    store.deadline = 0.0
+    inserted = sum(c.inserts for c in caches)
+    with pytest.raises(diagram.PlanTimeout):
+        contract(F, K, (L[1],))
+    assert sum(c.inserts for c in caches) > inserted
+    assert not any(caches)
+    assert not audit(store)
 
 
 # --- the flat store: packed unique key and recursion limit ---
@@ -369,11 +419,13 @@ def test_contract_with_constant_returns_other_operand(var):
     F = generate(store, pf)
     pc = DenseTensor.constant(0.5j)
     c = generate(store, pc)
-    before = (store.unique_hits, len(store.unique), len(store.cont_cache))
+    caches = recording_caches(store)
+    before = (store.unique_hits, len(store.unique))
     for a, b in ((F, c), (c, F)):
         H = contract(a, b, var)
         assert H.root.target == F.root.target
-        assert (store.unique_hits, len(store.unique), len(store.cont_cache)) == before
+        assert (store.unique_hits, len(store.unique)) == before
+        assert [table.inserts for table in caches] == [0, 0]
         assert_matches(H, contract_dense(pf, pc, set(var)))
 
 

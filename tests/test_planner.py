@@ -390,6 +390,35 @@ def test_execute_gc_between_steps():
     assert np.max(np.abs(got.values - ref.values)) < 1e-9
 
 
+def test_default_gc_limit_bounds_a_long_build(monkeypatch):
+    # a long 4-qubit build makes about twice GC_LIMIT nodes, almost all
+    # garbage: it sweeps, and the store never holds more than GC_LIMIT plus
+    # what one step makes
+    circ = random_circuit(random.Random(3), 4, 200)
+    net = allocate_indices(circ)
+    store = NodeStore(net.order)
+    ends = []  # (ids ever made, nodes held) at the end of each step
+
+    def recorded(op):
+        def run(*args):
+            res = op(*args)
+            ends.append((len(store.level), len(store.unique)))
+            return res
+        return run
+
+    for name in ("contract", "tensor_product"):
+        monkeypatch.setattr(planner, name, recorded(getattr(planner, name)))
+    tdd, _ = execute_plan(plan_circuit(net, PartitionConfig("seq")), store)
+    made = max(b[0] - a[0] for a, b in zip([(1, 0)] + ends, ends))
+    held = max(h for _, h in ends)
+    assert store.gc_runs > 0 and store.gc_limit == diagram.GC_LIMIT
+    assert held <= diagram.GC_LIMIT + made
+    assert store.stats()["peak_nodes"] == held
+    got = to_dense(tdd, tuple(net.order.sort(net.open_labels())))
+    assert np.max(np.abs(got.values - functionality_dense(net).values)) < 1e-9
+    assert not audit(store)
+
+
 def test_gc_protects_results_already_in_the_store():
     circ = random_circuit(random.Random(8), 5, 25)
     net = allocate_indices(circ)
