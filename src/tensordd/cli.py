@@ -36,19 +36,18 @@ class CliError(ValueError):
 
 
 def _order(args):
-    return IndexOrder(getattr(args, "inverse_order", False))
+    return IndexOrder(args.inverse_order)
 
 
 def _tolerance(args):
     try:
-        return ToleranceConfig(eps=args.eps, norm_eps=args.norm_eps)
+        return ToleranceConfig(eps=args.eps)
     except ValueError as exc:
-        raise CliError("--eps/--norm-eps: %s" % exc) from None
+        raise CliError("--eps: %s" % exc) from None
 
 
 def _partition_config(args, scheme=None):
-    return PartitionConfig(scheme if scheme is not None else args.scheme,
-                           k=args.k, k1=args.k1, k2=args.k2)
+    return PartitionConfig(scheme if scheme is not None else args.scheme, k=args.k, k2=args.k2)
 
 
 def _plan(path, args, scheme=None):
@@ -62,28 +61,30 @@ def _deadline(timeout_s):
     return None if timeout_s is None else time.monotonic() + timeout_s
 
 
-def _run_circuit(path, args, scheme=None, timeout_s=None, verify=False):
+def _run_circuit(path, args, scheme=None):
     """Parse, plan and build one circuit; returns its report.
 
-    With verify, a circuit of at most VERIFY_MAX_QUBITS qubits is compared
-    with the dense oracle; a larger one is left unverified (None). Running
-    past timeout_s gives a timed-out report, and running out of memory one
-    with an error; both still have the circuit's size and plan.
+    With args.verify, a circuit of at most VERIFY_MAX_QUBITS qubits is
+    compared with the dense oracle; a larger one is left unverified (None).
+    Running past args.timeout_s gives a timed-out report, and running out of
+    memory one with an error; both still have the circuit's size and plan.
     """
     name = Path(path).stem
     circ, net, cfg, plan = _plan(path, args, scheme)
     store = NodeStore(net.order, _tolerance(args))
+    if args.norm_eps < args.eps:
+        raise CliError("--norm-eps must be at least --eps")
     try:
-        tdd, stats = execute_plan(plan, store, _deadline(timeout_s))
+        tdd, stats = execute_plan(plan, store, _deadline(args.timeout_s))
     except PlanTimeout:
-        return _report(name, circ, cfg, plan, None, timeout_s=timeout_s, timed_out=True)
+        return _report(name, circ, cfg, plan, None, timeout_s=args.timeout_s, timed_out=True)
     except MemoryError:
         # the store goes with this frame and is not swept: a node append cut
         # short can leave its parallel lists misaligned
         return _report(name, circ, cfg, plan, None, error="out of memory building the diagram")
     verified = None
     max_dev = None
-    if verify and circ.n_qubits <= VERIFY_MAX_QUBITS:
+    if args.verify and circ.n_qubits <= VERIFY_MAX_QUBITS:
         got = to_dense(tdd, net.order.sort(net.open_labels())).values
         max_dev = float(np.max(np.abs(got - functionality_dense(net).values)))
         verified = max_dev <= args.norm_eps
@@ -97,7 +98,7 @@ def _report(name, circ, cfg, plan, stats, timeout_s=None, timed_out=False,
         "n_qubits": circ.n_qubits if circ is not None else None,
         "gates": len(circ.gates) if circ is not None else None,
         "scheme": cfg.scheme,
-        "params": {"k": cfg.k, "k1": cfg.k1, "k2": cfg.k2,
+        "params": {"k": cfg.k, "k2": cfg.k2,
                    "horizontal_cut": circ.n_qubits // 2 if circ is not None else None},
         "parts": len(plan.parts) if plan is not None else None,
         "elapsed_ms": None if stats is None else stats["elapsed_s"] * 1000.0,
@@ -124,7 +125,7 @@ def _emit_json(obj, dest):
 
 
 def cmd_sim(args):
-    report = _run_circuit(args.file, args, timeout_s=args.timeout_s, verify=args.verify)
+    report = _run_circuit(args.file, args)
     if args.verify and not report["timed_out"] and report["n_qubits"] > VERIFY_MAX_QUBITS:
         raise CliError("--verify supports at most %d qubits, got %d"
                        % (VERIFY_MAX_QUBITS, report["n_qubits"]))
@@ -263,8 +264,7 @@ def cmd_bench(args):
     for path in sorted(Path(args.directory).glob("*.qasm")):
         for scheme in schemes:
             try:
-                reports.append(_run_circuit(str(path), args, scheme=scheme,
-                                            timeout_s=args.timeout_s, verify=args.verify))
+                reports.append(_run_circuit(str(path), args, scheme=scheme))
             except (QasmError, PlanError, OSError) as exc:
                 reports.append(_report(path.stem, None, _partition_config(args, scheme),
                                        None, None, error=str(exc)))
@@ -273,22 +273,27 @@ def cmd_bench(args):
 
 
 def _add_common(sp, partition=True, scheme=True):
-    """Options shared by the commands: index order and tolerances, then the
+    """Options shared by the commands: index order and weight grid, then the
     partition options unless partition=False."""
     sp.add_argument("--inverse-order", action="store_true",
                     help="reverse the qubit-major index order")
     sp.add_argument("--eps", type=float, default=1e-10,
                     help="weight canonicalization grid (default 1e-10)")
-    sp.add_argument("--norm-eps", type=float, default=1e-9,
-                    help="comparison tolerance (default 1e-9)")
     if not partition:
         return
     if scheme:
         sp.add_argument("--scheme", choices=SCHEMES, default="seq",
                         help="contraction strategy (default seq)")
-    sp.add_argument("--k", type=int, default=None, help="scheme p1 crossing-CX budget")
-    sp.add_argument("--k1", type=int, default=None, help="scheme p2 CX-cut budget")
+    sp.add_argument("--k", type=int, default=None,
+                    help="crossing CXs split per segment: the paper's k for p1, its k1 for p2")
     sp.add_argument("--k2", type=int, default=None, help="scheme p2 C-block qubit cap")
+
+
+def _add_verify(sp):
+    sp.add_argument("--verify", action="store_true",
+                    help="compare against dense contraction (<= 10 qubits)")
+    sp.add_argument("--norm-eps", type=float, default=1e-9,
+                    help="--verify's tolerance, at least --eps (default 1e-9)")
 
 
 def build_parser():
@@ -300,8 +305,7 @@ def build_parser():
     sp = sub.add_parser("sim", help="build a circuit's diagram and report sizes")
     sp.add_argument("file")
     _add_common(sp)
-    sp.add_argument("--verify", action="store_true",
-                    help="compare against dense contraction (<= 10 qubits)")
+    _add_verify(sp)
     sp.add_argument("--json", metavar="PATH", default=None,
                     help="write the run report as JSON ('-' for stdout)")
     sp.add_argument("--timeout-s", type=float, default=None, help=TIMEOUT_HELP)
@@ -342,7 +346,7 @@ def build_parser():
     sp.add_argument("--timeout-s", type=float, default=3600.0,
                     help=TIMEOUT_HELP + " (default 3600)")
     sp.add_argument("--json", metavar="PATH", default="-")
-    sp.add_argument("--verify", action="store_true")
+    _add_verify(sp)
     _add_common(sp, scheme=False)
     sp.set_defaults(func=cmd_bench)
     return p

@@ -46,16 +46,21 @@ ID_BITS = 40
 RECURSION_LIMIT = 30_000
 
 
-def _deep(fn):
-    """Run fn under at least RECURSION_LIMIT, restoring the caller's limit on return."""
+def _operation(fn):
+    """Run a top-level operation on F under at least RECURSION_LIMIT, with
+    computed caches that serve it alone. On the way out, also when it raises
+    (PlanTimeout, MemoryError), the caller's limit is restored and F's store
+    caches are emptied, so no entry outlives the operation or its nodes."""
     @functools.wraps(fn)
-    def run(*args):
+    def run(F, *rest):
         old = sys.getrecursionlimit()
         sys.setrecursionlimit(max(old, RECURSION_LIMIT))
         try:
-            return fn(*args)
+            return fn(F, *rest)
         finally:
             sys.setrecursionlimit(old)
+            F.store.add_cache.clear()
+            F.store.cont_cache.clear()
 
     return run
 
@@ -211,8 +216,9 @@ class NodeStore:
             self.unique_hits += 1
         return _new(Edge, (w, nid))
 
-    def collect(self, roots, keep_below=1):
-        """Drop every node unreachable from the given edge targets.
+    def collect(self, live, keep_below=1):
+        """Drop every node whose id is not in live, a set of ids closed under
+        children (such as reachable gives).
 
         Ids below keep_below survive unconditionally, so a caller can protect
         everything that existed before it started creating nodes (children
@@ -220,11 +226,10 @@ class NodeStore:
         reference a collected id). Node ids are never reused. The computed
         caches are left alone: they are empty between operations, and only
         call this between operations, since an in-flight recursion holds
-        edges (and cache entries) the roots don't reach.
+        edges (and cache entries) that live may not contain.
         """
         # the live count only falls here; stats() adds the current one
         self.peak_nodes = max(self.peak_nodes, len(self.unique))
-        live = reachable(self, roots)
         unique = {}
         for k, t in self.unique.items():
             if t < keep_below or t in live:
@@ -336,23 +341,7 @@ def _add(store, wa, ta, wb, tb):
     return _new(Edge, (w, res[1]))
 
 
-def _one_operation(fn):
-    """Run a top-level kernel call whose computed caches serve it alone:
-    they are emptied on the way out, also when it raises (PlanTimeout,
-    MemoryError), so no entry outlives the operation or its nodes."""
-    @functools.wraps(fn)
-    def run(F, G, *rest):
-        try:
-            return fn(F, G, *rest)
-        finally:
-            F.store.add_cache.clear()
-            F.store.cont_cache.clear()
-
-    return run
-
-
-@_deep
-@_one_operation
+@_operation
 def add(F, G):
     """Pointwise sum; operands must share one store."""
     _check_pair(F, G)
@@ -412,8 +401,7 @@ def _cont(store, wf, tf, wg, tg, var):
     return _new(Edge, (w, res[1]))
 
 
-@_deep
-@_one_operation
+@_operation
 def contract(F, G, var):
     """Contract two diagrams over var; var may name labels absent from either."""
     _check_pair(F, G)
@@ -489,7 +477,7 @@ def size(F):
     return len(reachable(F.store, [F.root.target]))
 
 
-@_deep
+@_operation
 def export_dot(F):
     """Deterministic Graphviz text: dashed 0-edges, solid 1-edges.
 
@@ -526,7 +514,7 @@ def export_dot(F):
     return "\n".join(lines) + "\n"
 
 
-@_deep
+@_operation
 def relabel(F, mapping):
     """Rebuild F with indices renamed; mapping must be monotone for the order."""
     store = F.store

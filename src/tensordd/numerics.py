@@ -8,17 +8,14 @@ from dataclasses import dataclass
 
 @dataclass(frozen=True)
 class ToleranceConfig:
-    """eps is the canonicalization grid pitch, norm_eps the looser oracle tolerance."""
+    """eps is the canonicalization grid pitch."""
 
     eps: float = 1e-10
-    norm_eps: float = 1e-9
 
     def __post_init__(self):
         # the store's unique keys bound normalized weights by 1/(1-eps)
         if not 0 < self.eps < 1:
             raise ValueError("eps must lie in (0, 1)")
-        if self.norm_eps < self.eps:
-            raise ValueError("norm_eps must be >= eps")
 
 
 DEFAULT_TOLERANCE = ToleranceConfig()

@@ -22,7 +22,6 @@ class PlanError(ValueError):
 class PartitionConfig:
     scheme: str = SEQUENTIAL
     k: int = None
-    k1: int = None
     k2: int = None
 
     def resolve(self, n_qubits):
@@ -30,15 +29,14 @@ class PartitionConfig:
         if self.scheme not in (SEQUENTIAL, SCHEME1, SCHEME2):
             raise PlanError("unknown scheme %r" % (self.scheme,))
         k = self.k if self.k is not None else max(1, n_qubits // 2)
-        k1 = self.k1 if self.k1 is not None else max(1, n_qubits // 2)
         k2 = self.k2 if self.k2 is not None else max(2, n_qubits // 2 + 1)
-        if k < 1 or k1 < 1:
-            raise PlanError("k and k1 must be at least 1")
+        if k < 1:
+            raise PlanError("k must be at least 1")
         if k2 < 2:
             raise PlanError("k2 must be at least 2")
         if self.scheme != SEQUENTIAL and n_qubits < 2:
             raise PlanError("horizontal cut %d leaves an empty half" % (n_qubits // 2))
-        return replace(self, k=k, k1=k1, k2=k2)
+        return replace(self, k=k, k2=k2)
 
 
 @dataclass
@@ -58,16 +56,15 @@ def partition(circ, cfg):
     and a bottom half B. A CX crossing the cut is split, up to a budget per
     vertical segment, into a copy half on its control's side and an xor half
     on its target's side; any other crossing gate stays whole on the side of
-    its last wire. At the budget (k for p1, k1 for p2), p1 closes the segment,
-    while p2 puts the crossing CX whole into a middle block C, which also
-    takes every later gate on C's qubits, and closes the segment once C spans
-    k2 qubits.
+    its last wire. The budget is k, the paper's k for scheme 1 and its k1 for
+    scheme 2. At the budget, p1 closes the segment, while p2 puts the
+    crossing CX whole into a middle block C, which also takes every later
+    gate on C's qubits, and closes the segment once C spans k2 qubits.
     """
     cfg = cfg.resolve(circ.n_qubits)
     if cfg.scheme == SEQUENTIAL:
         return [Part("A", 0, [(i, "whole") for i in range(len(circ.gates))])]
     cut = circ.n_qubits // 2
-    budget = cfg.k if cfg.scheme == SCHEME1 else cfg.k1
     parts = []
     seg = {"A": [], "B": [], "C": []}
     splits = 0
@@ -87,9 +84,9 @@ def partition(circ, cfg):
             continue
         tops = [q < cut for q in g.qubits]
         if g.kind == "cx" and any(tops) and not all(tops):
-            if splits == budget and cfg.scheme == SCHEME1:
+            if splits == cfg.k and cfg.scheme == SCHEME1:
                 close()
-            if splits < budget:
+            if splits < cfg.k:
                 splits += 1
                 seg["A"].append((i, "copy" if tops[0] else "xor"))
                 seg["B"].append((i, "xor" if tops[0] else "copy"))
@@ -248,7 +245,7 @@ def execute_plan(plan, store, deadline=None):
     try:
         return _execute(plan, store, deadline, base)
     except PlanTimeout:
-        store.collect([], keep_below=base)
+        store.collect((), keep_below=base)
         raise
     finally:
         store.deadline = None
@@ -303,9 +300,10 @@ def _execute(plan, store, deadline, base):
                          "nodes": put(id(node), res)})
         # the store only grows during contraction; sweep dead nodes
         # between steps so long runs stay within memory (anything that
-        # existed before this plan started is left alone)
+        # existed before this plan started is left alone). refs holds
+        # exactly the ids the live values reach
         if len(store.unique) > store.gc_limit:
-            store.collect([v.root.target for v, _ in live.values()], keep_below=base)
+            store.collect(refs, keep_below=base)
     if not plan.steps:
         put(id(plan.root), generate(store, plan.root))
     result = take(id(plan.root))

@@ -162,7 +162,7 @@ def test_partition_fidelity():
 
     parts1, big1, small1 = shape("p1", k=1)
     parts1b, _, _ = shape("p1", k=2)
-    parts2, big2, small2 = shape("p2", k1=1, k2=2)
+    parts2, big2, small2 = shape("p2", k=1, k2=2)
     _, bigs, smalls = shape("seq")
 
     assert parts1 == 4 and parts1b == 2 and parts2 == 5

@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import random
@@ -53,7 +54,7 @@ def test_sim_timeout(tmp_path, capsys):
     report = json.loads(dest.read_text())
     assert report["timed_out"] and report["time_s"] == ">0.00"
     assert (report["n_qubits"], report["gates"], report["parts"]) == (4, 17, 2)
-    assert report["params"] == {"k": 2, "k1": 2, "k2": 3, "horizontal_cut": 2}
+    assert report["params"] == {"k": 2, "k2": 3, "horizontal_cut": 2}
     assert report["final_nodes"] is None and report["verified"] is None
 
 
@@ -228,6 +229,49 @@ def test_dot_takes_no_partition_options(tmp_path):
     assert info.value.code == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ["sim", EXAMPLE, "--k1", "1"],
+    ["amp", EXAMPLE, "00", "00", "--k1", "1"],
+    ["bench", "circuits", "--k1", "1"],
+    ["amp", EXAMPLE, "00", "00", "--norm-eps", "1e-9"],
+    ["equiv", EXAMPLE, EXAMPLE, "--norm-eps", "1e-9"],
+    ["dot", EXAMPLE, "never.dot", "--norm-eps", "1e-9"],
+], ids=lambda argv: "%s %s" % (argv[0], argv[-2]))
+def test_removed_options_exit_2(argv):
+    # p2's budget is --k, and only the commands that verify take --norm-eps
+    with pytest.raises(SystemExit) as info:
+        main(argv)
+    assert info.value.code == 2
+
+
+def test_norm_eps_below_eps_exits_2(tmp_path, capsys):
+    sub = tmp_path / "circs"
+    sub.mkdir()
+    (sub / "a.qasm").write_text("OPENQASM 2.0;\nqreg q[2];\nh q[0];")
+    dest = tmp_path / "bench.json"
+    for argv in (["sim", EXAMPLE], ["bench", str(sub), "--json", str(dest)]):
+        assert main(argv + ["--eps", "1e-6", "--norm-eps", "1e-9"]) == 2
+        assert "--norm-eps must be at least --eps" in capsys.readouterr().err
+    assert not dest.exists()
+
+
+def test_option_strings():
+    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    options = {name: sorted(s for a in sp._actions for s in a.option_strings
+                            if s.startswith("--"))
+               for name, sp in sub.choices.items()}
+    common = ["--eps", "--help", "--inverse-order"]
+    assert options == {
+        "sim": sorted(common + ["--json", "--k", "--k2", "--norm-eps", "--scheme",
+                                "--timeout-s", "--verify"]),
+        "amp": sorted(common + ["--k", "--k2", "--scheme", "--timeout-s"]),
+        "equiv": sorted(common + ["--scheme", "--timeout-s", "--up-to-phase"]),
+        "dot": common,
+        "bench": sorted(common + ["--json", "--k", "--k2", "--norm-eps", "--schemes",
+                                  "--timeout-s", "--verify"]),
+    }
+
+
 def test_bench_directory(tmp_path, capsys):
     sub = tmp_path / "circs"
     sub.mkdir()
@@ -356,9 +400,14 @@ MALFORMED = [
     ("norm-eps below eps", "h q[0];", ["--eps", "1e-6", "--norm-eps", "1e-9"]),
 ]
 
+# each row under sim and equiv, but --norm-eps under sim only: equiv has no
+# --verify, so argparse rejects the flag before main runs
+MALFORMED_RUNS = [(command,) + row for row in MALFORMED for command in ("sim", "equiv")
+                  if command == "sim" or "--norm-eps" not in row[2]]
 
-@pytest.mark.parametrize("command", ["sim", "equiv"])
-@pytest.mark.parametrize("case,body,extra", MALFORMED, ids=[c[0] for c in MALFORMED])
+
+@pytest.mark.parametrize("command,case,body,extra", MALFORMED_RUNS,
+                         ids=["%s-%s" % (row[1], row[0]) for row in MALFORMED_RUNS])
 def test_malformed_input_exits_2(tmp_path, capsys, monkeypatch, command, case, body, extra):
     monkeypatch.setattr(circuit, "MAX_GATES", SMALL_GATE_CAP)
     monkeypatch.setattr(circuit, "MAX_BYTES", SMALL_BYTE_CAP)

@@ -126,7 +126,7 @@ def test_collect_drops_garbage_keeps_live():
         generate(store, rand_dense(random.Random(10 + seed), tuple(L[:4])))
     dense_before = to_dense(keep)
     assert len(store.unique) > size(keep)
-    survivors = store.collect([keep.root.target])
+    survivors = store.collect(reachable(store, [keep.root.target]))
     assert survivors == size(keep)
     assert not audit(store)
     assert np.array_equal(to_dense(keep).values, dense_before.values)

@@ -26,9 +26,7 @@ def test_config_validation():
         ToleranceConfig(eps=-1e-10)
     for eps in (1.0, math.inf, math.nan):
         with pytest.raises(ValueError):
-            ToleranceConfig(eps=eps, norm_eps=2.0)
-    with pytest.raises(ValueError):
-        ToleranceConfig(eps=1e-6, norm_eps=1e-9)
+            ToleranceConfig(eps=eps)
 
 
 def test_canonical_rounds_to_grid():

@@ -49,15 +49,15 @@ def build(circ, scheme="seq", store=None, **kw):
 
 def test_resolve_defaults():
     cfg = PartitionConfig("p1").resolve(8)
-    assert (cfg.k, cfg.k1, cfg.k2) == (4, 4, 5)
+    assert (cfg.k, cfg.k2) == (4, 5)
     cfg = PartitionConfig("p2").resolve(3)
-    assert (cfg.k1, cfg.k2) == (1, 2)
+    assert (cfg.k, cfg.k2) == (1, 2)
 
 
 @pytest.mark.parametrize("cfg", [
     PartitionConfig("frobnicate"),
     PartitionConfig("p1", k=0),
-    PartitionConfig("p2", k1=0),
+    PartitionConfig("p2", k=0),
     PartitionConfig("p2", k2=1),
 ])
 def test_resolve_rejects(cfg):
@@ -86,7 +86,7 @@ def test_partition_demo_part_counts():
     assert len(partition(circ, PartitionConfig("seq"))) == 1
     p1a = partition(circ, PartitionConfig("p1", k=1))
     p1b = partition(circ, PartitionConfig("p1", k=2))
-    p2 = partition(circ, PartitionConfig("p2", k1=1, k2=2))
+    p2 = partition(circ, PartitionConfig("p2", k=1, k2=2))
     assert len(p1a) == 4 and len(p1b) == 2 and len(p2) == 5
     for parts in (p1a, p1b, p2):
         parts_cover_each_gate_once(parts, circ)
@@ -123,8 +123,8 @@ PINNED_PARTS_SHA256 = "a7beb3f78b78b7df598af01566a113e6d3f9c34574338e02657e36248
 def test_partition_pinned():
     configs = ([PartitionConfig(s) for s in ("seq", "p1", "p2")]
                + [PartitionConfig("p1", k=k) for k in (1, 2, 3)]
-               + [PartitionConfig("p2", k1=k1, k2=k2)
-                  for k1, k2 in ((1, 2), (1, 3), (2, 2), (2, 4), (3, 3))])
+               + [PartitionConfig("p2", k=k, k2=k2)
+                  for k, k2 in ((1, 2), (1, 3), (2, 2), (2, 4), (3, 3))])
     rng = random.Random(2024)
     parts = []
     for _ in range(200):
@@ -147,8 +147,8 @@ PINNED_PLAN_SHA256 = "a1d5b5a0cec4717e021cd4ab9e4bd60618ced43981f712e01b7fc10ad6
 def test_plan_pinned():
     configs = ([PartitionConfig(s) for s in ("seq", "p1", "p2")]
                + [PartitionConfig("p1", k=k) for k in (1, 2, 3)]
-               + [PartitionConfig("p2", k1=k1, k2=k2)
-                  for k1, k2 in ((1, 2), (1, 3), (2, 2), (2, 4), (3, 3))])
+               + [PartitionConfig("p2", k=k, k2=k2)
+                  for k, k2 in ((1, 2), (1, 3), (2, 2), (2, 4), (3, 3))])
     rng = random.Random(2025)
     digest = hashlib.sha256()
     for _ in range(60):
@@ -233,7 +233,7 @@ def test_plan_step_count_is_leaves_minus_one():
     net = allocate_indices(circ)
     for cfg, cuts in [(PartitionConfig("seq"), 0),
                       (PartitionConfig("p1", k=1), 2),
-                      (PartitionConfig("p2", k1=1, k2=2), 1)]:
+                      (PartitionConfig("p2", k=1, k2=2), 1)]:
         plan = plan_circuit(net, cfg)
         assert len(plan.steps) == len(circ.gates) + cuts - 1
 
@@ -322,7 +322,7 @@ def test_audit_clean_after_builds_and_collect():
         assert not audit(store)
     assert len({r.target for r in roots}) == 1
     # everything below base stays; above it, only what the last root reaches
-    live = store.collect([roots[-1].target], keep_below=base)
+    live = store.collect(diagram.reachable(store, [roots[-1].target]), keep_below=base)
     assert not audit(store)
     assert live == below + len({t for t in diagram.reachable(store, [roots[-1].target]) if t >= base})
     top = len(store.level)
