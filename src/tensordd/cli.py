@@ -40,29 +40,32 @@ def _order(args):
 
 
 def _tolerance(args):
+    """--eps as a tolerance; --norm-eps, where a command has it, is at least --eps."""
     try:
-        return ToleranceConfig(eps=args.eps)
+        tol = ToleranceConfig(eps=args.eps)
     except ValueError as exc:
         raise CliError("--eps: %s" % exc) from None
+    if "norm_eps" in args and args.norm_eps < args.eps:
+        raise CliError("--norm-eps must be at least --eps")
+    return tol
 
 
 def _partition_config(args, scheme=None):
     return PartitionConfig(scheme if scheme is not None else args.scheme, k=args.k, k2=args.k2)
 
 
-def _plan(path, args, scheme=None):
-    circ = parse_qasm_file(path)
+def _plan(circ, args, scheme=None):
     net = allocate_indices(circ, _order(args))
     cfg = _partition_config(args, scheme).resolve(circ.n_qubits)
-    return circ, net, cfg, plan_circuit(net, cfg)
+    return net, cfg, plan_circuit(net, cfg)
 
 
 def _deadline(timeout_s):
     return None if timeout_s is None else time.monotonic() + timeout_s
 
 
-def _run_circuit(path, args, scheme=None):
-    """Parse, plan and build one circuit; returns its report.
+def _run_circuit(path, circ, args, scheme=None):
+    """Plan and build the circuit parsed from path; returns its report.
 
     With args.verify, a circuit of at most VERIFY_MAX_QUBITS qubits is
     compared with the dense oracle; a larger one is left unverified (None).
@@ -70,10 +73,8 @@ def _run_circuit(path, args, scheme=None):
     memory one with an error; both still have the circuit's size and plan.
     """
     name = Path(path).stem
-    circ, net, cfg, plan = _plan(path, args, scheme)
+    net, cfg, plan = _plan(circ, args, scheme)
     store = NodeStore(net.order, _tolerance(args))
-    if args.norm_eps < args.eps:
-        raise CliError("--norm-eps must be at least --eps")
     try:
         tdd, stats = execute_plan(plan, store, _deadline(args.timeout_s))
     except PlanTimeout:
@@ -125,10 +126,11 @@ def _emit_json(obj, dest):
 
 
 def cmd_sim(args):
-    report = _run_circuit(args.file, args)
-    if args.verify and not report["timed_out"] and report["n_qubits"] > VERIFY_MAX_QUBITS:
+    circ = parse_qasm_file(args.file)
+    if args.verify and circ.n_qubits > VERIFY_MAX_QUBITS:
         raise CliError("--verify supports at most %d qubits, got %d"
-                       % (VERIFY_MAX_QUBITS, report["n_qubits"]))
+                       % (VERIFY_MAX_QUBITS, circ.n_qubits))
+    report = _run_circuit(args.file, circ, args)
     if args.json:
         _emit_json(report, args.json)
     if report["timed_out"]:
@@ -165,9 +167,10 @@ def amplitude(net, tdd, in_bits, out_bits):
 
 
 def cmd_amp(args):
-    circ, net, _, plan = _plan(args.file, args)
+    circ = parse_qasm_file(args.file)
     in_bits = _parse_bits(args.in_bits, circ.n_qubits, "input bitstring")
     out_bits = _parse_bits(args.out_bits, circ.n_qubits, "output bitstring")
+    net, _, plan = _plan(circ, args)
     try:
         tdd, _ = execute_plan(plan, NodeStore(net.order, _tolerance(args)),
                               _deadline(args.timeout_s))
@@ -264,7 +267,7 @@ def cmd_bench(args):
     for path in sorted(Path(args.directory).glob("*.qasm")):
         for scheme in schemes:
             try:
-                reports.append(_run_circuit(str(path), args, scheme=scheme))
+                reports.append(_run_circuit(path, parse_qasm_file(path), args, scheme))
             except (QasmError, PlanError, OSError) as exc:
                 reports.append(_report(path.stem, None, _partition_config(args, scheme),
                                        None, None, error=str(exc)))
@@ -355,6 +358,8 @@ def build_parser():
 def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
+        # a bad tolerance exits before any file is read
+        _tolerance(args)
         return args.func(args)
     except (CliError, QasmError, PlanError, OSError) as exc:
         print("error: %s" % exc, file=sys.stderr)

@@ -89,19 +89,6 @@ class DenseTensor:
     def constant(c):
         return DenseTensor((), np.asarray(complex(c)))
 
-    @property
-    def rank(self):
-        return len(self.indices)
-
-
-def slice_dense(phi, x, c):
-    """Cofactor: fix index x of phi to the bit c."""
-    if x not in phi.indices:
-        raise KeyError("index %s not in tensor" % (x,))
-    ax = phi.indices.index(x)
-    vals = np.take(phi.values, c, axis=ax)
-    return DenseTensor(phi.indices[:ax] + phi.indices[ax + 1:], vals)
-
 
 def contract_dense(gamma, xi, var, order=NATURAL_ORDER):
     """Sum the elementwise product over var.

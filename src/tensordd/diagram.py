@@ -1,11 +1,11 @@
 """Hash-consed, edge-weighted decision diagrams over Boolean indices.
 
-Every node constructed anywhere in the system goes through make_level_node
-(make_node for callers holding an index label), which applies weight
-normalization, zero-edge redirection, redundant-node collapse and
-unique-table lookup in one place, so every diagram is reduced and canonical
-at all times. Nodes store the integer level IndexOrder.key gives their index
-label; labels appear only at the label-facing functions.
+Every node constructed anywhere in the system goes through make_level_node,
+the only node constructor, which applies weight normalization, zero-edge
+redirection, redundant-node collapse and unique-table lookup in one place, so
+every diagram is reduced and canonical at all times. Nodes store the integer
+level IndexOrder.key gives their index label; labels appear only at the
+label-facing functions.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .dense import MAX_RANK, DenseTensor, IndexOrder, slice_dense
+from .dense import MAX_RANK, DenseTensor, IndexOrder
 from .numerics import DEFAULT_TOLERANCE, canonical, format_weight, is_zero, weights_equal
 
 TERMINAL = 0
@@ -160,10 +160,6 @@ class NodeStore:
         ids = (level << ID_BITS | t0) << ID_BITS | t1
         return (((ids << bits | re + off) << bits | im + off) << 1) | side
 
-    def make_node(self, x, low, high):
-        """make_level_node for the index label x and two edges."""
-        return self.make_level_node(self.order.key(x), *low, *high)
-
     def make_level_node(self, level, w0, t0, w1, t1):
         """Canonicalizing node constructor over the integer level of an index.
 
@@ -275,20 +271,19 @@ def _check_pair(F, G):
 
 def generate(store, phi):
     """Reduced diagram of a dense tensor whose indices are sorted for the store."""
-    idx = list(phi.indices)
-    if idx != store.order.sort(idx):
+    levels = [store.order.key(x) for x in phi.indices]
+    if levels != sorted(levels):
         raise StoreError("tensor indices not sorted for this store's order")
-    return Tdd(store, _gen(store, phi), frozenset(idx))
+    return Tdd(store, _gen(store, levels, phi.values), frozenset(phi.indices))
 
 
-def _gen(store, phi):
-    # recurses once per index, so at most MAX_RANK deep
-    if phi.rank == 0:
-        return store.terminal_edge(complex(phi.values))
-    x = phi.indices[0]
-    lo = _gen(store, slice_dense(phi, x, 0))
-    hi = _gen(store, slice_dense(phi, x, 1))
-    return store.make_node(x, lo, hi)
+def _gen(store, levels, values):
+    """Cofactor values, an array with one axis per level, along its first
+    axis; recurses once per level, so at most MAX_RANK deep."""
+    if not levels:
+        return store.terminal_edge(values)
+    lo, hi = [_gen(store, levels[1:], v) for v in values]
+    return store.make_level_node(levels[0], *lo, *hi)
 
 
 def _add(store, wa, ta, wb, tb):
@@ -541,42 +536,3 @@ def relabel(F, mapping):
     w = e.weight * F.root.weight
     root = _ZERO_EDGE if is_zero(w, store.cfg) else Edge(w, e.target)
     return Tdd(store, root, frozenset(mapping.get(l, l) for l in F.labels))
-
-
-def audit(store):
-    """Return a list of invariant violations; an empty list means sound."""
-    cfg = store.cfg
-    levels, unique = store.level, store.unique
-    bound = 1 + 2 * cfg.eps
-    problems = []
-    live = 0
-    nodes = zip(levels, store.w0, store.t0, store.w1, store.t1)
-    for nid, (level, w0, t0, w1, t1) in enumerate(itertools.islice(nodes, 1, None), 1):
-        if level is None:
-            continue
-        live += 1
-        z0 = is_zero(w0, cfg)
-        z1 = is_zero(w1, cfg)
-        if not (w0 == 1 or w1 == 1):
-            problems.append("node %d: no unit edge weight" % nid)
-        if abs(w0) > bound or abs(w1) > bound:
-            problems.append("node %d: edge weight magnitude above 1" % nid)
-        if z0 and z1:
-            problems.append("node %d: represents the zero tensor" % nid)
-        if t0 == t1 and weights_equal(w0, w1, cfg):
-            problems.append("node %d: equal children, should have collapsed" % nid)
-        for z, t in ((z0, t0), (z1, t1)):
-            if t == TERMINAL:
-                continue
-            if z:
-                problems.append("node %d: zero-weight edge off the terminal" % nid)
-            child = levels[t] if t < len(levels) else None
-            if child is None:
-                problems.append("node %d: dangling child" % nid)
-            elif level >= child:
-                problems.append("node %d: index order violated" % nid)
-        if unique.get(store.node_key(level, w0, t0, w1, t1)) != nid:
-            problems.append("node %d: unique table mismatch" % nid)
-    if len(unique) != live:
-        problems.append("unique table size %d != node count %d" % (len(unique), live))
-    return problems

@@ -22,12 +22,11 @@ import pytest
 from tensordd.circuit import allocate_indices, functionality_dense, parse_qasm_file
 from tensordd.cli import amplitude
 from tensordd.dense import DenseTensor, IndexLabel, IndexOrder
-from tensordd.diagram import (NodeStore, Tdd, add, audit, contract,
-                              generate, reachable, size, to_dense)
+from tensordd.diagram import (NodeStore, Tdd, add, contract, generate, reachable, size, to_dense)
 from tensordd.numerics import canonical, weights_equal
 from tensordd.planner import PartitionConfig, execute_plan, plan_circuit
 
-from util import random_circuit, random_circuit_text
+from util import audit, random_circuit, random_circuit_text
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 EXAMPLE = os.path.join(ROOT, "circuits", "example_2q.qasm")
@@ -128,7 +127,7 @@ def test_structural_examples():
     net = allocate_indices(parse_qasm("OPENQASM 2.0;\nqreg q[2];\ncx q[0],q[1];"))
     t = net.tensors[0]
     cnot = generate(NodeStore(net.order), t)
-    assert t.rank == 3          # the control wire is one shared hyper label
+    assert len(t.indices) == 3          # the control wire is one shared hyper label
     assert size(cnot) == 5
     assert 1 + 2 * size(cnot) == 11
 

@@ -248,11 +248,31 @@ def test_norm_eps_below_eps_exits_2(tmp_path, capsys):
     sub = tmp_path / "circs"
     sub.mkdir()
     (sub / "a.qasm").write_text("OPENQASM 2.0;\nqreg q[2];\nh q[0];")
+    empty = tmp_path / "empty"
+    empty.mkdir()
     dest = tmp_path / "bench.json"
-    for argv in (["sim", EXAMPLE], ["bench", str(sub), "--json", str(dest)]):
+    for argv in (["sim", EXAMPLE], ["bench", str(sub), "--json", str(dest)],
+                 ["bench", str(empty), "--json", str(dest)]):
         assert main(argv + ["--eps", "1e-6", "--norm-eps", "1e-9"]) == 2
         assert "--norm-eps must be at least --eps" in capsys.readouterr().err
     assert not dest.exists()
+
+
+BAD_TOLERANCES = [["--eps", "0"], ["--eps", "1e-6", "--norm-eps", "1e-9"]]
+
+
+@pytest.mark.parametrize("argv", [["sim", EXAMPLE], ["amp", EXAMPLE, "00", "00"],
+                                  ["equiv", EXAMPLE, EXAMPLE], ["dot", EXAMPLE, "out.dot"],
+                                  ["bench", "circuits"]], ids=lambda argv: argv[0])
+def test_tolerance_checked_before_parsing(capsys, monkeypatch, argv):
+    def parse_qasm_file(path):
+        raise AssertionError("parsed before the tolerance was checked")
+
+    monkeypatch.setattr(cli, "parse_qasm_file", parse_qasm_file)
+    # only the commands with --verify take --norm-eps
+    for bad in BAD_TOLERANCES if argv[0] in ("sim", "bench") else BAD_TOLERANCES[:1]:
+        assert main(argv + bad) == 2
+        assert capsys.readouterr().err.startswith("error: --")
 
 
 def test_option_strings():
@@ -347,13 +367,20 @@ def test_out_of_memory_is_a_clear_error(tmp_path, capsys, monkeypatch):
     assert capsys.readouterr().err.strip() == "error: out of memory"
 
 
-def test_verify_above_10_qubits(tmp_path, capsys):
-    # sim refuses to verify such a circuit; bench leaves it unverified
+def test_verify_above_10_qubits(tmp_path, capsys, monkeypatch):
+    # sim refuses to verify such a circuit before building it; bench leaves
+    # it unverified
     sub = tmp_path / "circs"
     sub.mkdir()
     path = sub / "wide.qasm"
     path.write_text("OPENQASM 2.0;\nqreg q[11];\nh q[0];")
-    assert main(["sim", str(path), "--verify"]) == 2
+
+    def execute_plan(*args, **kwargs):
+        raise AssertionError("built before --verify's qubit cap was checked")
+
+    with monkeypatch.context() as m:
+        m.setattr(cli, "execute_plan", execute_plan)
+        assert main(["sim", str(path), "--verify"]) == 2
     assert "at most 10 qubits" in capsys.readouterr().err
     dest = tmp_path / "bench.json"
     assert main(["bench", str(sub), "--schemes", "seq", "--verify", "--json", str(dest)]) == 0

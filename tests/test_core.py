@@ -16,7 +16,6 @@ from tensordd.diagram import (
     StoreError,
     Tdd,
     add,
-    audit,
     contract,
     evaluate,
     export_dot,
@@ -27,6 +26,8 @@ from tensordd.diagram import (
     tensor_product,
     to_dense,
 )
+
+from util import audit
 
 L = [IndexLabel(q, 0) for q in range(8)]
 
@@ -57,17 +58,19 @@ def test_terminal_edge():
 
 def test_make_node_zero_and_collapse():
     store = NodeStore()
+    x0 = store.order.key(L[0])
     z = store.terminal_edge(0)
     one = store.terminal_edge(1)
-    assert store.make_node(L[0], z, z) == Edge(0j, TERMINAL)
+    assert store.make_level_node(x0, *z, *z) == Edge(0j, TERMINAL)
     # equal cofactors: no node is created
-    assert store.make_node(L[0], one, one) == Edge(1 + 0j, TERMINAL)
+    assert store.make_level_node(x0, *one, *one) == Edge(1 + 0j, TERMINAL)
     assert len(store.unique) == 0
 
 
 def test_make_node_normalizes_dominant_weight():
     store = NodeStore()
-    e = store.make_node(L[0], store.terminal_edge(0.5), store.terminal_edge(-2j))
+    term = store.terminal_edge
+    e = store.make_level_node(store.order.key(L[0]), *term(0.5), *term(-2j))
     assert e.weight == -2j
     _, w0, _, w1, _ = store.node(e.target)
     assert w1 == 1
@@ -77,8 +80,9 @@ def test_make_node_normalizes_dominant_weight():
 
 def test_make_node_hash_consing():
     store = NodeStore()
-    a = store.make_node(L[0], store.terminal_edge(1), store.terminal_edge(-1))
-    b = store.make_node(L[0], store.terminal_edge(2), store.terminal_edge(-2))
+    x0, term = store.order.key(L[0]), store.terminal_edge
+    a = store.make_level_node(x0, *term(1), *term(-1))
+    b = store.make_level_node(x0, *term(2), *term(-2))
     assert a.target == b.target
     assert b.weight == 2
     assert store.unique_hits == 1
@@ -87,18 +91,20 @@ def test_make_node_hash_consing():
 
 def test_make_node_interns_sub_grid_variants():
     store = NodeStore()
-    a = store.make_node(L[0], store.terminal_edge(1), store.terminal_edge(0.5))
-    b = store.make_node(L[0], store.terminal_edge(1), store.terminal_edge(0.5 + 1e-14))
+    x0, term = store.order.key(L[0]), store.terminal_edge
+    a = store.make_level_node(x0, *term(1), *term(0.5))
+    b = store.make_level_node(x0, *term(1), *term(0.5 + 1e-14))
     assert a.target == b.target
     assert len(store.unique) == 1
 
 
 def test_make_node_rejects_order_violation():
     store = NodeStore()
-    child = store.make_node(L[1], store.terminal_edge(1), store.terminal_edge(-1))
+    key, term = store.order.key, store.terminal_edge
+    child = store.make_level_node(key(L[1]), *term(1), *term(-1))
     # the message names labels, not the integer levels nodes store
     with pytest.raises(StoreError, match=r"^index x2 does not precede child index x1$"):
-        store.make_node(L[2], child, store.terminal_edge(1))
+        store.make_level_node(key(L[2]), *child, *term(1))
 
 
 def test_generate_requires_sorted_indices():
@@ -345,11 +351,28 @@ def test_deep_chain_add_and_contract():
 @given(st.integers(0, 10 ** 9), st.integers(0, 5), st.booleans())
 def test_generate_roundtrip(seed, rank, boolean):
     rng = random.Random(seed)
-    store = NodeStore()
     phi = rand_dense(rng, tuple(L[:rank]), boolean)
-    F = generate(store, phi)
-    assert_matches(F, phi)
-    assert not audit(store)
+    for order in (IndexOrder(), IndexOrder(True)):
+        labels = tuple(order.sort(phi.indices))
+        axes = [phi.indices.index(x) for x in labels]
+        psi = DenseTensor(labels, np.transpose(phi.values, axes))
+        store = NodeStore(order)
+        F = generate(store, psi)
+        assert_matches(F, phi)
+        assert not audit(store)
+        # the same nodes, ids and first-insertion weights as cofactoring one
+        # label at a time with np.take
+        ref = NodeStore(order)
+        assert F.root == _slice_generate(ref, labels, psi.values)
+        for name in ("level", "w0", "t0", "w1", "t1"):
+            assert getattr(store, name) == getattr(ref, name)
+
+
+def _slice_generate(store, labels, values):
+    if not labels:
+        return store.terminal_edge(complex(values))
+    lo, hi = (_slice_generate(store, labels[1:], np.take(values, b, axis=0)) for b in (0, 1))
+    return store.make_level_node(store.order.key(labels[0]), *lo, *hi)
 
 
 def test_generate_zero_tensor():

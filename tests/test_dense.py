@@ -1,6 +1,5 @@
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
 
 from tensordd.cli import SPLIT_POS
 from tensordd.dense import (
@@ -9,7 +8,6 @@ from tensordd.dense import (
     IndexOrder,
     contract_dense,
     network_to_dense,
-    slice_dense,
 )
 
 A = IndexLabel(0, 0)
@@ -53,18 +51,9 @@ def test_tensor_validation():
 
 def test_constant_and_rank():
     t = DenseTensor.constant(2j)
-    assert t.rank == 0
+    assert len(t.indices) == 0
     assert t.values == 2j
-    assert DenseTensor.from_flat((A, B), [1, 2, 3, 4]).rank == 2
-
-
-def test_slice_dense():
-    t = DenseTensor.from_flat((A, B), [1, 2, 3, 4])
-    assert list(slice_dense(t, A, 0).values) == [1, 2]
-    assert list(slice_dense(t, A, 1).values) == [3, 4]
-    assert list(slice_dense(t, B, 1).values) == [2, 4]
-    with pytest.raises(KeyError):
-        slice_dense(t, C, 0)
+    assert len(DenseTensor.from_flat((A, B), [1, 2, 3, 4]).indices) == 2
 
 
 def test_contract_dense_is_matrix_product():
@@ -113,13 +102,3 @@ def test_network_to_dense_rejects_dangling():
     net = [DenseTensor.from_flat((A,), [1, 1])]
     with pytest.raises(ValueError):
         network_to_dense(net, [])
-
-
-@given(st.integers(0, 2 ** 16 - 1))
-def test_slices_reassemble(bits):
-    flat = [(bits >> i) & 1 for i in range(16)]
-    t = DenseTensor.from_flat((A, B, C, IndexLabel(3, 0)), flat)
-    s0 = slice_dense(t, B, 0)
-    s1 = slice_dense(t, B, 1)
-    re = np.stack([s0.values, s1.values], axis=1)
-    assert np.array_equal(re, t.values)

@@ -12,7 +12,7 @@ from tensordd import diagram, planner
 from tensordd.circuit import (Circuit, allocate_indices, functionality_dense, inverse_gate,
                               parse_qasm, parse_qasm_file)
 from tensordd.dense import DenseTensor
-from tensordd.diagram import NodeStore, audit, to_dense
+from tensordd.diagram import NodeStore, to_dense
 from tensordd.numerics import weights_equal
 from tensordd.planner import (
     PartitionConfig,
@@ -25,7 +25,7 @@ from tensordd.planner import (
     plan_from_parts,
 )
 
-from util import random_circuit
+from util import audit, random_circuit
 
 DEMO = "circuits/partition_demo.qasm"
 
@@ -196,7 +196,7 @@ def assert_ranks_match_brute_force(circ, plan, net):
             assert leaf is net.tensors[pos]
             plain[id(leaf)] = {l for q in g.qubits for l in wires[pos][q]}
         else:
-            assert leaf is net.tensors[pos] if role == "xor" else leaf.rank == 0
+            assert leaf is net.tensors[pos] if role == "xor" else len(leaf.indices) == 0
             q = g.qubits[0] if role == "copy" else g.qubits[1]
             plain[id(leaf)] = set(wires[pos][q]) | {("bond", pos)}
     holders = {}
