@@ -4,10 +4,10 @@ from __future__ import annotations
 
 import ast
 import cmath
-import itertools
 import math
 import operator
 import re
+import string
 import warnings
 from dataclasses import dataclass
 
@@ -308,15 +308,15 @@ def _matrix_dense(U, wires, order):
     significant first; a wire with one shared label reads U's diagonal on it.
     """
     labels = tuple(order.sort({lab for w in wires for lab in w}))
-    slot = {lab: i for i, lab in enumerate(labels)}
-    vals = np.empty((2,) * len(labels), dtype=complex)
-    for bits in itertools.product((0, 1), repeat=len(labels)):
-        iin = iout = 0
-        for lin, lout in wires:
-            iin = (iin << 1) | bits[slot[lin]]
-            iout = (iout << 1) | bits[slot[lout]]
-        vals[bits] = U[iout, iin]
-    return DenseTensor(labels, vals)
+    letter = {lab: string.ascii_letters[i] for i, lab in enumerate(labels)}
+    # one gather: U's axes are the out wires then the in wires, and a letter
+    # repeated on a shared label takes the diagonal. einsum may return a view
+    # of U, so the tensor keeps a copy
+    spec = "%s%s->%s" % ("".join(letter[lout] for _, lout in wires),
+                         "".join(letter[lin] for lin, _ in wires),
+                         "".join(letter[lab] for lab in labels))
+    vals = np.einsum(spec, U.reshape((2,) * (2 * len(wires))))
+    return DenseTensor(labels, vals.copy())
 
 
 def allocate_indices(circ, order=None):

@@ -10,8 +10,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .circuit import (Circuit, QasmError, allocate_indices, functionality_dense, inverse_gate,
-                      parse_qasm_file)
+from .circuit import (Circuit, QasmError, allocate_indices, inverse_gate, parse_qasm_file,
+                      unitary_as_dense)
 from .dense import DenseTensor, IndexLabel, IndexOrder
 from .diagram import (NodeStore, PlanTimeout, contract, evaluate, export_dot, generate,
                       relabel, tensor_product, to_dense)
@@ -68,7 +68,9 @@ def _run_circuit(path, circ, args, scheme=None):
     """Plan and build the circuit parsed from path; returns its report.
 
     With args.verify, a circuit of at most VERIFY_MAX_QUBITS qubits is
-    compared with the dense oracle; a larger one is left unverified (None).
+    compared with its unitary, built gate by gate with tensordot and not
+    through contract_dense, which dense plan steps run; a larger one is left
+    unverified (None).
     Running past args.timeout_s gives a timed-out report, and running out of
     memory one with an error; both still have the circuit's size and plan.
     """
@@ -87,7 +89,7 @@ def _run_circuit(path, circ, args, scheme=None):
     max_dev = None
     if args.verify and circ.n_qubits <= VERIFY_MAX_QUBITS:
         got = to_dense(tdd, net.order.sort(net.open_labels())).values
-        max_dev = float(np.max(np.abs(got - functionality_dense(net).values)))
+        max_dev = float(np.max(np.abs(got - unitary_as_dense(circ, net).values)))
         verified = max_dev <= args.norm_eps
     return _report(name, circ, cfg, plan, stats, verified=verified, max_deviation=max_dev)
 
@@ -260,9 +262,6 @@ def cmd_bench(args):
     for s in schemes:
         if s not in SCHEMES:
             raise CliError("unknown scheme %r in --schemes" % s)
-        # options no circuit can satisfy exit before any file runs; every
-        # scheme can cut 2 qubits, so only the options are checked here
-        _partition_config(args, s).resolve(2)
     reports = []
     for path in sorted(Path(args.directory).glob("*.qasm")):
         for scheme in schemes:
@@ -358,8 +357,11 @@ def build_parser():
 def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
-        # a bad tolerance exits before any file is read
+        # a bad tolerance or partition option exits before any file is read;
+        # every scheme can cut 2 qubits, so only the options are checked here
         _tolerance(args)
+        if "k" in args:
+            _partition_config(args, "seq").resolve(2)
         return args.func(args)
     except (CliError, QasmError, PlanError, OSError) as exc:
         print("error: %s" % exc, file=sys.stderr)

@@ -6,12 +6,17 @@ import time
 from collections import Counter
 from dataclasses import dataclass, replace
 
-from .dense import DenseTensor
+from .dense import DenseTensor, contract_dense
 from .diagram import PlanTimeout, contract, generate, reachable, size, tensor_product
 
 SEQUENTIAL = "seq"
 SCHEME1 = "p1"
 SCHEME2 = "p2"
+
+# a step whose operands are both dense and whose result has at most this many
+# labels runs as one einsum: its array of at most 2^8 entries (4 KB) is
+# smaller than the largest diagram of that rank (255 nodes)
+DENSE_RANK = 8
 
 
 class PlanError(ValueError):
@@ -232,6 +237,12 @@ def execute_plan(plan, store, deadline=None):
     store.stats()["peak_nodes"] is another figure: the most nodes the store
     has held, garbage included.
 
+    A step whose operands are both dense (leaves, or earlier dense results)
+    and whose result has at most DENSE_RANK labels runs as contract_dense
+    and holds no nodes: its record has "dense": True, its "rank", and
+    "nodes" None. A dense value is generated into the store only when a
+    diagram step takes it as an operand, or when it is the plan's root.
+
     deadline is an absolute time.monotonic() value. It is checked between
     steps and, through the store, inside a step as new nodes are made;
     exceeding it raises PlanTimeout. Before it is raised, every node this
@@ -278,16 +289,32 @@ def _execute(plan, store, deadline, base):
                 del refs[t]
         return value
 
+    # the results of dense steps not yet consumed, by id(plan entry)
+    dense = {}
+
+    def take_dense(entry):
+        return entry if isinstance(entry, DenseTensor) else dense.pop(id(entry), None)
+
     step_log = []
     for node in plan.steps:
         if deadline is not None and time.monotonic() > deadline:
             raise PlanTimeout("plan deadline passed before step %s" % node.tag)
-        for side in (node.left, node.right):
-            if isinstance(side, DenseTensor):
-                put(id(side), generate(store, side))
-        # sampled before each step only: the live set after a step is
-        # contained in the one before the next (only leaves join in
-        # between) or is the final result
+        record = {"tag": node.tag, "m": node.mnr[0], "n": node.mnr[1],
+                  "r": node.mnr[2], "var": len(node.var)}
+        step_log.append(record)
+        ld, rd = take_dense(node.left), take_dense(node.right)
+        if ld is not None and rd is not None:
+            rank = len(set(ld.indices).union(rd.indices).difference(node.var))
+            if rank <= DENSE_RANK:
+                dense[id(node)] = contract_dense(ld, rd, node.var, store.order)
+                record.update(dense=True, rank=rank, nodes=None)
+                continue
+        for side, value in ((node.left, ld), (node.right, rd)):
+            if value is not None:
+                put(id(side), generate(store, value))
+        # sampled before each diagram step only: the live set after a step
+        # is contained in the one before the next (only generated dense
+        # values join in between) or is the final result
         peak = max(peak, len(refs))
         lv = take(id(node.left))
         rv = take(id(node.right))
@@ -295,17 +322,16 @@ def _execute(plan, store, deadline, base):
             res = contract(lv, rv, node.var)
         else:
             res = tensor_product(lv, rv)
-        step_log.append({"tag": node.tag, "m": node.mnr[0], "n": node.mnr[1],
-                         "r": node.mnr[2], "var": len(node.var),
-                         "nodes": put(id(node), res)})
+        record["nodes"] = put(id(node), res)
         # the store only grows during contraction; sweep dead nodes
         # between steps so long runs stay within memory (anything that
         # existed before this plan started is left alone). refs holds
         # exactly the ids the live values reach
         if len(store.unique) > store.gc_limit:
             store.collect(refs, keep_below=base)
-    if not plan.steps:
-        put(id(plan.root), generate(store, plan.root))
+    root = take_dense(plan.root)
+    if root is not None:
+        put(id(plan.root), generate(store, root))
     result = take(id(plan.root))
     final = size(result)
     stats = {

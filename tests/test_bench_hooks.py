@@ -37,6 +37,7 @@ def test_untraced_names_resolve():
 
 def test_stats_carry_the_folded_keys(monkeypatch):
     monkeypatch.setattr(diagram, "GC_LIMIT", 50)
+    monkeypatch.setattr(planner, "DENSE_RANK", 0)
     net = allocate_indices(parse_qasm_file(DEMO))
     plan = planner.plan_circuit(net, planner.PartitionConfig("p1"))
     store = NodeStore(net.order)

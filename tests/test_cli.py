@@ -7,9 +7,10 @@ import time
 import numpy as np
 import pytest
 
-from tensordd import circuit, cli
+from tensordd import circuit, cli, planner
 from tensordd.circuit import MAX_QUBITS, circuit_unitary, parse_qasm
 from tensordd.cli import build_parser, equivalent, main
+from tensordd.dense import DenseTensor
 from tensordd.diagram import NodeStore
 
 from util import random_circuit_text
@@ -275,6 +276,42 @@ def test_tolerance_checked_before_parsing(capsys, monkeypatch, argv):
         assert capsys.readouterr().err.startswith("error: --")
 
 
+@pytest.mark.parametrize("argv", [["sim", "/nonexistent.qasm"],
+                                  ["amp", "/nonexistent.qasm", "00", "00"],
+                                  ["bench", "circuits"]], ids=lambda argv: argv[0])
+def test_partition_options_checked_before_parsing(capsys, monkeypatch, argv):
+    def parse_qasm_file(path):
+        raise AssertionError("parsed before the partition options were checked")
+
+    monkeypatch.setattr(cli, "parse_qasm_file", parse_qasm_file)
+    for bad, message in ((["--k", "0"], "k must be at least 1"),
+                         (["--k2", "1"], "k2 must be at least 2")):
+        assert main(argv + bad) == 2
+        assert capsys.readouterr().err.strip() == "error: " + message
+
+
+def test_verify_is_independent_of_dense_steps(capsys, monkeypatch):
+    # dense plan steps run contract_dense, the fold behind
+    # functionality_dense, so --verify compares with the tensordot unitary
+    def functionality_dense(net):
+        raise AssertionError("verified against the contract_dense fold")
+
+    monkeypatch.setattr(circuit, "functionality_dense", functionality_dense)
+    for argv in (["sim", EXAMPLE], ["sim", DEMO, "--scheme", "p1"]):
+        assert main(argv + ["--verify"]) == 0
+        assert "verify: max deviation" in capsys.readouterr().out
+    # and a wrong dense step fails it
+    real = planner.contract_dense
+
+    def doubled(*args):
+        res = real(*args)
+        return DenseTensor(res.indices, 2 * res.values)
+
+    monkeypatch.setattr(planner, "contract_dense", doubled)
+    assert main(["sim", DEMO, "--verify"]) == 1
+    assert "verify: max deviation" in capsys.readouterr().out
+
+
 def test_option_strings():
     sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
     options = {name: sorted(s for a in sp._actions for s in a.option_strings
@@ -341,7 +378,8 @@ def out_of_memory_after(monkeypatch, n_nodes):
 
 
 def test_out_of_memory_is_a_clear_error(tmp_path, capsys, monkeypatch):
-    # the demo's build makes about 170 nodes, one H gate two
+    # the demo's diagram-path build makes about 170 nodes, one H gate two
+    monkeypatch.setattr(planner, "DENSE_RANK", 0)
     out_of_memory_after(monkeypatch, 50)
     dest = tmp_path / "report.json"
     assert main(["sim", DEMO, "--scheme", "p1", "--json", str(dest)]) == 1

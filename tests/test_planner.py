@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import math
 import random
 import time
@@ -10,7 +11,7 @@ import pytest
 
 from tensordd import diagram, planner
 from tensordd.circuit import (Circuit, allocate_indices, functionality_dense, inverse_gate,
-                              parse_qasm, parse_qasm_file)
+                              parse_qasm, parse_qasm_file, unitary_as_dense)
 from tensordd.dense import DenseTensor
 from tensordd.diagram import NodeStore, to_dense
 from tensordd.numerics import weights_equal
@@ -394,6 +395,7 @@ def test_default_gc_limit_bounds_a_long_build(monkeypatch):
     # a long 4-qubit build makes about twice GC_LIMIT nodes, almost all
     # garbage: it sweeps, and the store never holds more than GC_LIMIT plus
     # what one step makes
+    monkeypatch.setattr(planner, "DENSE_RANK", 0)
     circ = random_circuit(random.Random(3), 4, 200)
     net = allocate_indices(circ)
     store = NodeStore(net.order)
@@ -496,8 +498,9 @@ def brute_reachable(store, roots):
 
 
 def run_recording_live_sets(monkeypatch, plan, store):
-    """Execute plan; returns (result, stats, expected peak, expected step
-    nodes), the expectations counted by brute force while the plan runs."""
+    """Execute plan with every step on the diagram path; returns (result,
+    stats, expected peak, expected step nodes), the expectations counted by
+    brute force while the plan runs."""
     live = []      # values made and not yet consumed, by identity
     samples = [0]  # live union sizes before and after every kernel step
     kernel = []    # node counts of the kernel results, in call order
@@ -522,6 +525,7 @@ def run_recording_live_sets(monkeypatch, plan, store):
         return run
 
     real_generate = planner.generate
+    monkeypatch.setattr(planner, "DENSE_RANK", 0)
     monkeypatch.setattr(planner, "generate", generate)
     monkeypatch.setattr(planner, "contract", step(planner.contract))
     monkeypatch.setattr(planner, "tensor_product", step(planner.tensor_product))
@@ -560,3 +564,71 @@ def test_live_peak_of_trivial_plans(monkeypatch, text):
     result, stats, peak, nodes = run_recording_live_sets(monkeypatch, plan, store)
     assert stats["steps"] == [] and nodes == []
     assert stats["peak_nodes"] == stats["final_nodes"] == peak
+
+
+# --- dense steps ---
+
+
+def test_dense_and_diagram_paths_share_one_root(monkeypatch):
+    rng = random.Random(61)
+    for _ in range(12):
+        net = allocate_indices(random_circuit(rng, rng.randint(2, 6), rng.randint(1, 30)))
+        store = NodeStore(net.order)
+        roots = [execute_plan(plan_circuit(net, PartitionConfig(s)), store)[0].root
+                 for s in ("seq", "p1", "p2")]
+        monkeypatch.setattr(planner, "DENSE_RANK", 0)
+        roots.append(execute_plan(plan_circuit(net, PartitionConfig("seq")), store)[0].root)
+        monkeypatch.undo()
+        assert len({r.target for r in roots}) == 1
+        assert all(weights_equal(r.weight, roots[0].weight) for r in roots)
+        assert not audit(store)
+
+
+def test_dense_steps_match_the_unitary():
+    rng = random.Random(67)
+    for scheme in ("seq", "p1", "p2"):
+        for _ in range(3):
+            circ = random_circuit(rng, rng.randint(3, 6), rng.randint(10, 30))
+            net, store, (tdd, stats) = build(circ, scheme)
+            assert any(s.get("dense") for s in stats["steps"])
+            got = to_dense(tdd, tuple(net.order.sort(net.open_labels()))).values
+            assert np.max(np.abs(got - unitary_as_dense(circ, net).values)) <= 1e-9
+            assert not audit(store)
+
+
+def test_dense_records_give_their_rank(monkeypatch):
+    ranks = []
+    real = planner.contract_dense
+
+    def contract_dense(*args):
+        res = real(*args)
+        ranks.append(len(res.indices))
+        return res
+
+    monkeypatch.setattr(planner, "contract_dense", contract_dense)
+    rng = random.Random(71)
+    circuits = [parse_qasm_file(DEMO)] + [random_circuit(rng, 6, 30) for _ in range(3)]
+    for circ, scheme in itertools.product(circuits, ("seq", "p1", "p2")):
+        start = len(ranks)
+        _, _, (_, stats) = build(circ, scheme)
+        dense = [s for s in stats["steps"] if "dense" in s]
+        assert all(s["dense"] is True and s["nodes"] is None for s in dense)
+        assert [s["rank"] for s in dense] == ranks[start:]
+        assert all(s["nodes"] >= 1 for s in stats["steps"] if "dense" not in s)
+    # no dense result above the cap
+    assert 0 < max(ranks) <= 8
+
+
+def test_deadline_before_the_first_dense_step(monkeypatch):
+    net = allocate_indices(parse_qasm_file(DEMO))
+    store = NodeStore(net.order)
+    execute_plan(plan_circuit(net, PartitionConfig("seq")), store)
+    held = (len(store.level), dict(store.unique))
+    calls = []
+    monkeypatch.setattr(planner, "contract_dense", lambda *args: calls.append(args))
+    with pytest.raises(PlanTimeout):
+        execute_plan(plan_circuit(net, PartitionConfig("p1")), store,
+                     deadline=time.monotonic() - 1.0)
+    assert calls == []
+    assert (len(store.level), store.unique) == held
+    assert not audit(store)
