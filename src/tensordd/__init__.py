@@ -3,8 +3,7 @@
 from .circuit import (Circuit, CircuitNet, Gate, QasmError,
                       allocate_indices, circuit_unitary, gate_matrix, parse_qasm,
                       parse_qasm_file)
-from .dense import (NATURAL_ORDER, DenseTensor, IndexLabel, IndexOrder,
-                    contract_dense, network_to_dense)
+from .dense import NATURAL_ORDER, DenseTensor, IndexLabel, IndexOrder, contract_dense
 from .diagram import (TERMINAL, Edge, NodeStore, PlanTimeout, StoreError, Tdd, add,
                       contract, evaluate, export_dot, generate, reachable, relabel,
                       size, tensor_product, to_dense)

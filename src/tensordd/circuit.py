@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dense import DenseTensor, IndexLabel, IndexOrder, network_to_dense
+from .dense import DenseTensor, IndexLabel, IndexOrder
 
 GATE_QUBITS = {
     "x": 1, "y": 1, "z": 1, "h": 1, "s": 1, "sdg": 1, "t": 1, "tdg": 1,
@@ -378,11 +378,6 @@ def circuit_unitary(circ):
         U = np.tensordot(G, U, axes=(tuple(range(a, 2 * a)), tuple(gate.qubits)))
         U = np.moveaxis(U, tuple(range(a)), tuple(gate.qubits))
     return U.reshape(2 ** n, 2 ** n)
-
-
-def functionality_dense(net):
-    """Oracle functionality tensor over the net's open labels."""
-    return network_to_dense(net.tensors, net.open_labels(), net.order)
 
 
 def unitary_as_dense(circ, net):

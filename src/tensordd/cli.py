@@ -45,7 +45,7 @@ def _tolerance(args):
         tol = ToleranceConfig(eps=args.eps)
     except ValueError as exc:
         raise CliError("--eps: %s" % exc) from None
-    if "norm_eps" in args and args.norm_eps < args.eps:
+    if "norm_eps" in args and not args.norm_eps >= args.eps:
         raise CliError("--norm-eps must be at least --eps")
     return tol
 
@@ -293,7 +293,7 @@ def _add_common(sp, partition=True, scheme=True):
 
 def _add_verify(sp):
     sp.add_argument("--verify", action="store_true",
-                    help="compare against dense contraction (<= 10 qubits)")
+                    help="compare against the circuit's unitary (<= 10 qubits)")
     sp.add_argument("--norm-eps", type=float, default=1e-9,
                     help="--verify's tolerance, at least --eps (default 1e-9)")
 
@@ -357,9 +357,11 @@ def build_parser():
 def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
-        # a bad tolerance or partition option exits before any file is read;
-        # every scheme can cut 2 qubits, so only the options are checked here
+        # a bad tolerance, budget or partition option exits before any file is
+        # read; every scheme can cut 2 qubits, so only the options are checked here
         _tolerance(args)
+        if getattr(args, "timeout_s", None) is not None and not args.timeout_s >= 0:
+            raise CliError("--timeout-s must be a number of seconds, at least 0")
         if "k" in args:
             _partition_config(args, "seq").resolve(2)
         return args.func(args)

@@ -1,10 +1,9 @@
-"""Dense tensors over Boolean indices: the brute-force oracle behind the diagrams."""
+"""Labels, dense tensors over Boolean indices, and the einsum kernel of dense steps."""
 
 from __future__ import annotations
 
 import itertools
 import string
-from collections import Counter
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -115,30 +114,3 @@ def contract_dense(gamma, xi, var, order=NATURAL_ORDER):
         vals = vals * (1 << absent)
     return DenseTensor(out_labels, np.asarray(vals, dtype=complex))
 
-
-def network_to_dense(net, open_labels, order=NATURAL_ORDER):
-    """Left-fold contraction of a tensor list.
-
-    Each label outside open_labels is summed at the step where its last
-    holder joins the accumulator. Open labels never touched by any tensor
-    come out as all-ones axes (an untouched wire is the constant-1 tensor).
-    """
-    open_set = set(open_labels)
-    remaining = Counter()
-    for t in net:
-        remaining.update(t.indices)
-    for lab, cnt in remaining.items():
-        if cnt == 1 and lab not in open_set:
-            raise ValueError("dangling label %s (single holder, not open)" % (lab,))
-    acc = DenseTensor.constant(1)
-    for t in net:
-        for lab in t.indices:
-            remaining[lab] -= 1
-        var = {lab for lab in set(acc.indices) | set(t.indices)
-               if lab not in open_set and remaining[lab] == 0}
-        acc = contract_dense(acc, t, var, order)
-    for lab in order.sort([l for l in open_set if l not in acc.indices]):
-        acc = contract_dense(acc, DenseTensor.from_flat((lab,), [1, 1]), (), order)
-    if set(acc.indices) != open_set:
-        raise ValueError("network left labels %s open, expected %s" % (sorted(acc.indices), sorted(open_set)))
-    return acc

@@ -19,7 +19,8 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from tensordd.circuit import allocate_indices, functionality_dense, parse_qasm_file
+from tensordd import planner
+from tensordd.circuit import allocate_indices, parse_qasm_file, unitary_as_dense
 from tensordd.cli import amplitude
 from tensordd.dense import DenseTensor, IndexLabel, IndexOrder
 from tensordd.diagram import (NodeStore, Tdd, add, contract, generate, reachable, size, to_dense)
@@ -50,19 +51,35 @@ def test_amplitude_example():
     assert time.perf_counter() - t0 < 1.0
 
 
-def test_oracle_equivalence():
+def oracle_equivalence():
+    """Build 200 seeded circuits and compare each with its unitary; returns
+    the number of dense and of diagram plan steps run."""
     t0 = time.perf_counter()
     rng = random.Random(0)
+    steps = Counter()
     for _ in range(200):
         circ = random_circuit(rng, rng.randint(1, 6), rng.randint(0, 40))
-        net, store, tdd, _ = build_circuit(circ)
+        net, store, tdd, stats = build_circuit(circ)
+        steps.update("dense" if s.get("dense") else "diagram" for s in stats["steps"])
         labels = tuple(net.order.sort(net.open_labels()))
-        ref = functionality_dense(net)
+        ref = unitary_as_dense(circ, net)
         got = to_dense(tdd, labels)
         assert got.indices == ref.indices
         assert np.max(np.abs(got.values - ref.values)) <= 1e-9
         assert not audit(store)
     assert time.perf_counter() - t0 < 120.0
+    return steps
+
+
+def test_oracle_equivalence():
+    oracle_equivalence()
+
+
+def test_oracle_equivalence_on_diagram_steps(monkeypatch):
+    # at the default DENSE_RANK most of these circuits run no diagram step
+    monkeypatch.setattr(planner, "DENSE_RANK", 0)
+    steps = oracle_equivalence()
+    assert steps["dense"] == 0 and steps["diagram"] > 0
 
 
 def test_canonicity_across_plans():
@@ -107,7 +124,7 @@ def test_rule_level_invariants():
         doubled = add(acc, acc)
         assert not audit(store)
         labels = tuple(net.order.sort(open_labels))
-        ref = functionality_dense(net)
+        ref = unitary_as_dense(circ, net)
         assert np.max(np.abs(to_dense(acc, labels).values - ref.values)) <= 1e-9
         assert np.max(np.abs(to_dense(doubled, labels).values - 2 * ref.values)) <= 2e-9
 
@@ -215,18 +232,21 @@ def test_performance_smoke(tmp_path):
         pytest.fail("10-qubit 200-gate circuit still running after 150 s "
                     "(budget: 60 s, final diagram of 2^20 - 1 nodes)")
     elapsed = time.perf_counter() - t0
+    unfinished = ("10-qubit 200-gate run ended after %.0f s under a 2 GB memory cap "
+                  "without completing (budget: 60 s, final diagram of 2^20 - 1 nodes): %s")
     if proc.returncode != 0:
         if "MemoryError" in proc.stderr:
             tail = "memory exhausted (MemoryError)"
         else:
             lines = [l.strip() for l in proc.stderr.splitlines() if l.strip()]
             tail = lines[-1] if lines else "exit code %d" % proc.returncode
-        pytest.fail("10-qubit 200-gate run died after %.0f s under a 2 GB memory cap "
-                    "without completing (budget: 60 s, final diagram of 2^20 - 1 nodes): %s"
-                    % (elapsed, tail))
+        pytest.fail(unfinished % (elapsed, tail))
     report = json.loads(out.read_text())[0]
     if report["timed_out"]:
         pytest.fail("10-qubit 200-gate circuit exceeded the 60 s budget")
+    if "error" in report:
+        # the build ran out of memory under the cap and reported it
+        pytest.fail(unfinished % (elapsed, report["error"]))
     assert report["elapsed_ms"] / 1000.0 < 60.0
     # The final size is fixed by the circuit, whatever the engine. Counting
     # the distinct normalized sub-tensors of circuit_unitary that depend on

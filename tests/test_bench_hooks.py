@@ -5,7 +5,7 @@ A store, planner or CLI change that breaks `perfbench/run.py` fails here."""
 import sys
 from pathlib import Path
 
-from tensordd import circuit, cli, diagram, planner
+from tensordd import circuit, cli, diagram, numerics, planner
 from tensordd.circuit import allocate_indices, parse_qasm_file
 from tensordd.diagram import NodeStore
 
@@ -29,7 +29,9 @@ def test_wrapped_names_resolve():
 def test_untraced_names_resolve():
     # what perfbench/workloads.py reads besides the wrapped names
     for owner, attr in [(circuit, "unitary_as_dense"), (circuit.CircuitNet, "boundary_assignment"),
-                        (diagram, "to_dense"), (diagram, "evaluate")]:
+                        (circuit, "circuit_unitary"), (circuit, "parse_qasm_file"),
+                        (diagram, "NodeStore"), (diagram, "to_dense"), (diagram, "evaluate"),
+                        (numerics, "canonical"), (planner, "PartitionConfig")]:
         assert callable(getattr(owner, attr, None)), "%s.%s" % (owner.__name__, attr)
     args = cli.build_parser().parse_args(["equiv", DEMO, DEMO])
     assert args.scheme == "seq"

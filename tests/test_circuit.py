@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 
@@ -19,7 +20,6 @@ from tensordd.circuit import (
     allocate_indices,
     circuit_unitary,
     diagonal_wires,
-    functionality_dense,
     gate_matrix,
     inverse_gate,
     parse_qasm,
@@ -254,12 +254,28 @@ def test_circuit_unitary_applies_left_to_right():
     assert np.allclose(circuit_unitary(circ), gate_matrix("h") @ gate_matrix("t"))
 
 
-def test_functionality_matches_unitary_oracle():
+def test_unitary_as_dense_reads_circuit_unitary():
+    # _matrix_dense builds both the reference and every gate leaf, so a
+    # consistent slip in it (in and out swapped, say) would cancel in every
+    # engine-vs-reference test; here each entry is read against U[out, in]
     rng = random.Random(12)
     for _ in range(15):
         circ = random_circuit(rng, rng.randint(1, 4), rng.randint(0, 12))
+        n = circ.n_qubits
         net = allocate_indices(circ)
-        got = functionality_dense(net)
-        want = unitary_as_dense(circ, net)
-        assert got.indices == want.indices
-        assert np.max(np.abs(got.values - want.values)) < 1e-10
+        U = circuit_unitary(circ)
+        ref = unitary_as_dense(circ, net)
+        assert ref.indices == tuple(net.order.sort(net.open_labels()))
+        seen = set()
+        for in_bits, out_bits in itertools.product(itertools.product((0, 1), repeat=n), repeat=2):
+            # qubit 0 most significant
+            row = int("".join(map(str, out_bits)), 2)
+            col = int("".join(map(str, in_bits)), 2)
+            a = net.boundary_assignment(in_bits, out_bits)
+            if a is None:
+                assert U[row, col] == 0
+                continue
+            entry = tuple(a[lab] for lab in ref.indices)
+            assert ref.values[entry] == U[row, col]
+            seen.add(entry)
+        assert len(seen) == 2 ** len(ref.indices)

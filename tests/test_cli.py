@@ -47,6 +47,7 @@ def test_sim_json_report(tmp_path):
 
 
 def test_sim_timeout(tmp_path, capsys):
+    assert main(["sim", DEMO, "--timeout-s", "inf"]) == 0
     assert main(["sim", DEMO, "--timeout-s", "0"]) == 1
     assert "timed out" in capsys.readouterr().err
     # parsing and planning finished, so the report still describes them
@@ -259,7 +260,8 @@ def test_norm_eps_below_eps_exits_2(tmp_path, capsys):
     assert not dest.exists()
 
 
-BAD_TOLERANCES = [["--eps", "0"], ["--eps", "1e-6", "--norm-eps", "1e-9"]]
+BAD_TOLERANCES = [["--eps", "0"], ["--eps", "1e-6", "--norm-eps", "1e-9"],
+                  ["--norm-eps", "nan"]]
 
 
 @pytest.mark.parametrize("argv", [["sim", EXAMPLE], ["amp", EXAMPLE, "00", "00"],
@@ -274,6 +276,19 @@ def test_tolerance_checked_before_parsing(capsys, monkeypatch, argv):
     for bad in BAD_TOLERANCES if argv[0] in ("sim", "bench") else BAD_TOLERANCES[:1]:
         assert main(argv + bad) == 2
         assert capsys.readouterr().err.startswith("error: --")
+
+
+@pytest.mark.parametrize("argv", [["sim", EXAMPLE], ["amp", EXAMPLE, "00", "00"],
+                                  ["equiv", EXAMPLE, EXAMPLE], ["bench", "circuits"]],
+                         ids=lambda argv: argv[0])
+def test_timeout_checked_before_parsing(capsys, monkeypatch, argv):
+    def parse_qasm_file(path):
+        raise AssertionError("parsed before the budget was checked")
+
+    monkeypatch.setattr(cli, "parse_qasm_file", parse_qasm_file)
+    for bad in ("nan", "-1", "-inf"):
+        assert main(argv + ["--timeout-s=" + bad]) == 2
+        assert capsys.readouterr().err.startswith("error: --timeout-s")
 
 
 @pytest.mark.parametrize("argv", [["sim", "/nonexistent.qasm"],
@@ -291,12 +306,8 @@ def test_partition_options_checked_before_parsing(capsys, monkeypatch, argv):
 
 
 def test_verify_is_independent_of_dense_steps(capsys, monkeypatch):
-    # dense plan steps run contract_dense, the fold behind
-    # functionality_dense, so --verify compares with the tensordot unitary
-    def functionality_dense(net):
-        raise AssertionError("verified against the contract_dense fold")
-
-    monkeypatch.setattr(circuit, "functionality_dense", functionality_dense)
+    # dense plan steps run contract_dense, so --verify compares with the
+    # tensordot unitary
     for argv in (["sim", EXAMPLE], ["sim", DEMO, "--scheme", "p1"]):
         assert main(argv + ["--verify"]) == 0
         assert "verify: max deviation" in capsys.readouterr().out

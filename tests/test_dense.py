@@ -2,13 +2,7 @@ import numpy as np
 import pytest
 
 from tensordd.cli import SPLIT_POS
-from tensordd.dense import (
-    DenseTensor,
-    IndexLabel,
-    IndexOrder,
-    contract_dense,
-    network_to_dense,
-)
+from tensordd.dense import DenseTensor, IndexLabel, IndexOrder, contract_dense
 
 A = IndexLabel(0, 0)
 B = IndexLabel(1, 0)
@@ -79,26 +73,3 @@ def test_contract_dense_absent_var_doubles():
     g = DenseTensor.constant(3)
     out = contract_dense(f, g, {A, B})
     assert out.values == 12  # 3 * 2 * 2
-
-
-def test_network_to_dense_matches_einsum():
-    rng = np.random.default_rng(5)
-    m1 = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
-    m2 = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
-    net = [DenseTensor((A, B), m1), DenseTensor((B, C), m2)]
-    out = network_to_dense(net, [A, C])
-    assert out.indices == (A, C)
-    assert np.allclose(out.values, m1 @ m2)
-
-
-def test_network_to_dense_untouched_open_label():
-    net = [DenseTensor.from_flat((A,), [2, 3])]
-    out = network_to_dense(net, [A, B])
-    assert out.indices == (A, B)
-    assert np.allclose(out.values, [[2, 2], [3, 3]])
-
-
-def test_network_to_dense_rejects_dangling():
-    net = [DenseTensor.from_flat((A,), [1, 1])]
-    with pytest.raises(ValueError):
-        network_to_dense(net, [])

@@ -10,8 +10,8 @@ import numpy as np
 import pytest
 
 from tensordd import diagram, planner
-from tensordd.circuit import (Circuit, allocate_indices, functionality_dense, inverse_gate,
-                              parse_qasm, parse_qasm_file, unitary_as_dense)
+from tensordd.circuit import (Circuit, allocate_indices, inverse_gate, parse_qasm,
+                              parse_qasm_file, unitary_as_dense)
 from tensordd.dense import DenseTensor
 from tensordd.diagram import NodeStore, to_dense
 from tensordd.numerics import weights_equal
@@ -267,7 +267,7 @@ def test_miter_plan_sums_every_label_once(seed):
     tdd, _ = execute_plan(plan, NodeStore(net.order))
     labels = tuple(net.order.sort(net.open_labels()))
     got = to_dense(tdd, labels).values
-    assert np.max(np.abs(got - functionality_dense(net).values)) <= 1e-9
+    assert np.max(np.abs(got - unitary_as_dense(miter, net).values)) <= 1e-9
 
 
 # --- execution ---
@@ -279,14 +279,20 @@ def test_execute_empty_circuit():
     assert stats["final_nodes"] == 0
 
 
-@pytest.mark.parametrize("scheme", ["seq", "p1", "p2"])
-def test_execute_matches_oracle(scheme):
+# DENSE_RANK 0 runs every step on the diagram kernel
+@pytest.mark.parametrize("scheme,dense_rank",
+                         [pytest.param(s, r, id=s if r else s + "-diagram")
+                          for r in (planner.DENSE_RANK, 0) for s in ("seq", "p1", "p2")])
+def test_execute_matches_oracle(monkeypatch, scheme, dense_rank):
+    monkeypatch.setattr(planner, "DENSE_RANK", dense_rank)
     rng = random.Random(31)
     for _ in range(8):
         circ = random_circuit(rng, rng.randint(2, 5), rng.randint(1, 20))
         net, store, (tdd, stats) = build(circ, scheme)
+        if not dense_rank:
+            assert not any(s.get("dense") for s in stats["steps"])
         labels = tuple(net.order.sort(net.open_labels()))
-        ref = functionality_dense(net)
+        ref = unitary_as_dense(circ, net)
         got = to_dense(tdd, labels)
         assert np.max(np.abs(got.values - ref.values)) < 1e-9
         assert not audit(store)
@@ -374,7 +380,7 @@ def test_execute_deadline(monkeypatch):
     monkeypatch.undo()
     tdd, _ = execute_plan(plan, store)
     got = to_dense(tdd, tuple(net.order.sort(net.open_labels())))
-    assert np.max(np.abs(got.values - functionality_dense(net).values)) < 1e-9
+    assert np.max(np.abs(got.values - unitary_as_dense(circ, net).values)) < 1e-9
     assert not audit(store)
 
 
@@ -386,7 +392,7 @@ def test_execute_gc_between_steps():
     tdd, stats = execute_plan(plan, store)
     assert store.gc_runs > 0
     assert not audit(store)
-    ref = functionality_dense(net)
+    ref = unitary_as_dense(circ, net)
     got = to_dense(tdd, tuple(net.order.sort(net.open_labels())))
     assert np.max(np.abs(got.values - ref.values)) < 1e-9
 
@@ -417,7 +423,7 @@ def test_default_gc_limit_bounds_a_long_build(monkeypatch):
     assert held <= diagram.GC_LIMIT + made
     assert store.stats()["peak_nodes"] == held
     got = to_dense(tdd, tuple(net.order.sort(net.open_labels())))
-    assert np.max(np.abs(got.values - functionality_dense(net).values)) < 1e-9
+    assert np.max(np.abs(got.values - unitary_as_dense(circ, net).values)) < 1e-9
     assert not audit(store)
 
 
